@@ -49,9 +49,9 @@ func randBindDC(rng *rand.Rand, t *testing.T) DC {
 	return dc
 }
 
-// TestBoundDCEquivalence pins BoundDC.Holds and BoundDC.UnaryMatch to the
-// unbound DC forms on random relations, DCs, and tuple assignments, and
-// Symmetric01 to VarsSymmetric.
+// TestBoundDCEquivalence pins BoundDC.Holds, BoundDC.UnaryMatch and
+// VarPredicate to the unbound DC forms on random relations, DCs, and tuple
+// assignments, and Symmetric01 to VarsSymmetric.
 func TestBoundDCEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 250; trial++ {
@@ -64,10 +64,14 @@ func TestBoundDCEquivalence(t *testing.T) {
 		}
 		s := r.Schema()
 		for v := 0; v < dc.K; v++ {
+			vp := dc.VarPredicate(v)
 			for i := 0; i < r.Len(); i++ {
 				want := dc.UnaryMatch(v, s, r.Row(i))
 				if got := b.UnaryMatch(v, r.Row(i)); got != want {
 					t.Fatalf("trial %d (%s): UnaryMatch(t%d, row %d) = %v, want %v", trial, dc, v+1, i, got, want)
+				}
+				if got := vp.Eval(s, r.Row(i)); got != want {
+					t.Fatalf("trial %d (%s): VarPredicate(t%d) on row %d = %v, want %v", trial, dc, v+1, i, got, want)
 				}
 			}
 		}

@@ -141,6 +141,19 @@ func (dc DC) UnaryMatch(v int, s *table.Schema, row []Value) bool {
 	return true
 }
 
+// VarPredicate returns the conjunction of variable v's unary atoms as a
+// selection predicate over one tuple: the candidate filter for v, matching
+// exactly the rows UnaryMatch accepts.
+func (dc DC) VarPredicate(v int) table.Predicate {
+	var atoms []table.Atom
+	for _, a := range dc.Unary {
+		if a.Var == v {
+			atoms = append(atoms, table.Atom{Col: a.Col, Op: a.Op, Val: a.Val})
+		}
+	}
+	return table.Predicate{Atoms: atoms}
+}
+
 // VarsSymmetric reports whether swapping two variables leaves the atom set
 // unchanged; used to halve edge enumeration for symmetric DCs like
 // "no two owners share a home". The comparison is structural (atom structs

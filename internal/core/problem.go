@@ -253,13 +253,7 @@ func (p *prob) ensureDCCand() {
 	for di, dc := range p.in.DCs {
 		byVar := make([][]bool, dc.K)
 		for v := 0; v < dc.K; v++ {
-			var atoms []table.Atom
-			for _, a := range dc.Unary {
-				if a.Var == v {
-					atoms = append(atoms, table.Atom{Col: a.Col, Op: a.Op, Val: a.Val})
-				}
-			}
-			cp := p.colView.Bind(table.Predicate{Atoms: atoms})
+			cp := p.colView.Bind(dc.VarPredicate(v))
 			bits := make([]bool, n)
 			for i := 0; i < n; i++ {
 				bits[i] = cp.Eval(i)

@@ -305,13 +305,7 @@ func (p *prob) patchDCCand(changed []int, newLen int) {
 			} else {
 				bits = append(bits, make([]bool, newLen-len(bits))...)
 			}
-			var atoms []table.Atom
-			for _, a := range dc.Unary {
-				if a.Var == v {
-					atoms = append(atoms, table.Atom{Col: a.Col, Op: a.Op, Val: a.Val})
-				}
-			}
-			cp := p.colView.Bind(table.Predicate{Atoms: atoms})
+			cp := p.colView.Bind(dc.VarPredicate(v))
 			for _, r := range changed {
 				bits[r] = cp.Eval(r)
 			}

@@ -48,24 +48,9 @@ func (r *DCReport) String() string {
 	return b.String()
 }
 
-// ReportDCs evaluates every DC separately over r1hat grouped by FK value.
+// ReportDCs evaluates every DC over r1hat grouped by FK value, counting
+// each DC's violating tuples in the same walk DCErrorFraction takes.
 func ReportDCs(r1hat *table.Relation, fkCol string, dcs []constraint.DC) *DCReport {
-	rep := &DCReport{PerDC: make([]int, len(dcs)), Violating: make(map[int]bool), Rows: r1hat.Len()}
-	groups := r1hat.GroupByValue(fkCol)
-	bound := constraint.BindDCs(dcs, r1hat.Schema())
-	for di := range bound {
-		per := make(map[int]bool)
-		//lint:ordered groups are independent and markViolations only unions rows into per
-		for key, rows := range groups {
-			if len(rows) < bound[di].K || key.IsNull() {
-				continue
-			}
-			markViolations(r1hat, &bound[di], rows, per)
-		}
-		rep.PerDC[di] = len(per)
-		for t := range per {
-			rep.Violating[t] = true
-		}
-	}
-	return rep
+	s := scanDCs(r1hat, fkCol, dcs)
+	return &DCReport{PerDC: s.perDC, Violating: s.set(), Rows: r1hat.Len()}
 }

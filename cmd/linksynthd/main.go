@@ -10,15 +10,12 @@
 //	linksynthd -addr :8080 -workers -1 -data-dir /var/lib/linksynth \
 //	    -cache-entries 4096 -max-body 64000000
 //
-// The data directory holds three kinds of state:
+// The data directory holds three kinds of state, all in the store's
+// CRC-framed file format and published by atomic rename:
 //
-//	data/cache      append-only result-cache log (cache.aol)
+//	data/cache      result-cache bodies, one file per entry (*.res)
 //	data/snapshots  content-addressed columnar relation snapshots (*.snap)
 //	data/sessions   session records: constraints, options, plan (*.sess)
-//
-// -cache-dir is the pre-durable-store spelling of the same root and is kept
-// as an alias; a legacy flat cache.aol at the root is migrated into
-// data/cache on startup.
 //
 // Scaling out: seed every node with -peers (or point a new node at any
 // existing member with -join) plus its own -advertise URL and the nodes
@@ -62,7 +59,6 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof on the -debug-addr mux
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -78,7 +74,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", -1, "solver pool size shared by all requests (-1 = GOMAXPROCS)")
 	dataDir := flag.String("data-dir", "", "root directory for all durable state: result cache, relation snapshots, session records (empty = memory only)")
-	cacheDir := flag.String("cache-dir", "", "deprecated alias for -data-dir (the pre-store flag name)")
 	cacheEntries := flag.Int("cache-entries", 1024, "maximum cached results (LRU beyond that)")
 	maxBody := flag.Int64("max-body", 32<<20, "maximum request body bytes (413 beyond that)")
 	queue := flag.Int("queue", 64, "bound on queued solves and pending async jobs (503 beyond that)")
@@ -100,36 +95,28 @@ func main() {
 		return
 	}
 
-	root := *dataDir
-	if root == "" {
-		root = *cacheDir
-	} else if *cacheDir != "" && *cacheDir != *dataDir {
-		fatalf("-cache-dir %q conflicts with -data-dir %q; -cache-dir is an alias, set only one", *cacheDir, *dataDir)
-	}
-
 	var st *store.Store
 	cacheRoot := ""
-	if root != "" {
+	if *dataDir != "" {
 		var err error
-		if st, err = store.Open(root); err != nil {
-			fatalf("open store at -data-dir %q: %v", root, err)
+		if st, err = store.Open(*dataDir); err != nil {
+			fatalf("open store at -data-dir %q: %v", *dataDir, err)
 		}
 		cacheRoot = st.CacheDir()
-		migrateFlatCacheLog(root, cacheRoot)
 	}
 
 	c, err := cache.Open(cacheRoot, *cacheEntries)
 	if err != nil {
-		fatalf("open cache under -data-dir %q: %v", root, err)
+		fatalf("open cache under -data-dir %q: %v", *dataDir, err)
 	}
 	defer c.Close()
 	if cs := c.Stats(); cs.Replayed > 0 {
-		log.Printf("cache: replayed %d entries from %s", cs.Replayed, cacheRoot)
+		log.Printf("cache: loaded %d entries from %s", cs.Replayed, cacheRoot)
 	}
 	if st != nil {
 		ds := st.Stats()
 		log.Printf("store: %d snapshots (%d bytes), %d sessions (%d bytes) at %s",
-			ds.Snapshots, ds.SnapshotBytes, ds.Sessions, ds.SessionBytes, root)
+			ds.Snapshots, ds.SnapshotBytes, ds.Sessions, ds.SessionBytes, *dataDir)
 	}
 
 	var clu *cluster.Cluster
@@ -207,7 +194,7 @@ func main() {
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 	log.Printf("linksynthd listening on %s (workers=%d, cache-entries=%d, data-dir=%q)",
-		*addr, *workers, *cacheEntries, root)
+		*addr, *workers, *cacheEntries, *dataDir)
 
 	select {
 	case err := <-errCh:
@@ -229,28 +216,6 @@ func main() {
 			log.Printf("shutdown: %v", err)
 		}
 	}
-}
-
-// migrateFlatCacheLog moves a pre-durable-store cache log (written by
-// `-cache-dir <root>`, directly at the root) into the data/cache
-// subdirectory the consolidated layout uses, so upgrading in place keeps
-// every cached result. The move is skipped if the new location is already
-// populated — never overwrite newer state with older.
-func migrateFlatCacheLog(root, cacheRoot string) {
-	old := filepath.Join(root, "cache.aol")
-	dst := filepath.Join(cacheRoot, "cache.aol")
-	if _, err := os.Stat(old); err != nil {
-		return
-	}
-	if _, err := os.Stat(dst); err == nil {
-		log.Printf("store: legacy cache log %s left in place (%s already exists)", old, dst)
-		return
-	}
-	if err := os.Rename(old, dst); err != nil {
-		log.Printf("store: could not migrate legacy cache log %s: %v", old, err)
-		return
-	}
-	log.Printf("store: migrated legacy cache log %s -> %s", old, dst)
 }
 
 func fatalf(format string, args ...any) {

@@ -1,13 +1,14 @@
 package cache
 
 import (
-	"bytes"
 	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 )
 
 func k(s string) Key { return sha256.Sum256([]byte(s)) }
@@ -82,7 +83,7 @@ func TestPersistReplay(t *testing.T) {
 	}
 	c.Put(k("a"), []byte("alpha"))
 	c.Put(k("b"), []byte("beta"))
-	c.Put(k("a"), []byte("alpha-v2")) // duplicate key: last wins on replay
+	c.Put(k("a"), []byte("alpha-v2")) // duplicate key: the last write wins
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestPersistReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	if st := c2.Stats(); st.Replayed != 3 || st.Entries != 2 {
+	if st := c2.Stats(); st.Replayed != 2 || st.Entries != 2 {
 		t.Fatalf("replay stats = %+v", st)
 	}
 	if v, ok := c2.Get(k("a")); !ok || string(v) != "alpha-v2" {
@@ -101,6 +102,18 @@ func TestPersistReplay(t *testing.T) {
 	if v, ok := c2.Get(k("b")); !ok || string(v) != "beta" {
 		t.Errorf("b = %q, %v", v, ok)
 	}
+}
+
+// resPath is where the store publishes the result file for key under dir.
+func resPath(dir string, key Key) string {
+	return filepath.Join(dir, hex.EncodeToString(key[:])+".res")
+}
+
+// resFiles lists the result files under dir. Glob fails only on a
+// malformed pattern, so its error is dropped.
+func resFiles(dir string) []string {
+	files, _ := filepath.Glob(filepath.Join(dir, "*.res"))
+	return files
 }
 
 func TestReplayRespectsCapacity(t *testing.T) {
@@ -124,144 +137,197 @@ func TestReplayRespectsCapacity(t *testing.T) {
 	}
 }
 
-func TestTornTailTruncated(t *testing.T) {
+// Puts come faster than the clock ticks, yet a reopen at a smaller
+// capacity keeps exactly the most recently Put keys: a re-Put counts as
+// new, and Puts after a reopen come after every file already there, even
+// when those files' times are ahead of the clock.
+func TestReopenKeepsPutOrder(t *testing.T) {
 	dir := t.TempDir()
-	c, _ := Open(dir, 8)
-	c.Put(k("a"), []byte("alpha"))
-	c.Put(k("b"), []byte("beta"))
+	c, _ := Open(dir, 64)
+	for i := 0; i < 32; i++ {
+		c.Put(k(fmt.Sprintf("k%d", i)), []byte{byte(i)})
+	}
+	c.Put(k("k0"), []byte{0}) // k0 is now the newest
 	c.Close()
-
-	path := filepath.Join(dir, logName)
-	clean, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a crash mid-append: a record header plus part of a body.
-	torn := append(append([]byte(nil), clean...), clean[:len(clean)/3]...)
-	if err := os.WriteFile(path, torn, 0o644); err != nil {
-		t.Fatal(err)
-	}
 
 	c2, err := Open(dir, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := c2.Stats(); st.Replayed != 2 {
-		t.Fatalf("replayed = %d, want the 2 intact records", st.Replayed)
+	if c2.Len() != 8 {
+		t.Fatalf("len = %d, want 8", c2.Len())
 	}
-	// The torn tail must be gone so new appends extend a clean log.
-	c2.Put(k("c"), []byte("gamma"))
+	want := []string{"k0"}
+	for i := 25; i < 32; i++ {
+		want = append(want, fmt.Sprintf("k%d", i))
+	}
+	for _, name := range want {
+		if _, ok := c2.Get(k(name)); !ok {
+			t.Errorf("%s evicted on reopen; the 8 most recently Put keys are k0 and k25..k31", name)
+		}
+	}
+	// A clock behind the newest file: later Puts must still load as newer,
+	// and in the order they were made.
+	future := time.Now().Add(time.Hour)
+	for _, path := range resFiles(dir) {
+		if err := os.Chtimes(path, future, future); err != nil {
+			t.Fatal(err)
+		}
+	}
 	c2.Close()
 	c3, err := Open(dir, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c3.Close()
-	if st := c3.Stats(); st.Replayed != 3 {
-		t.Fatalf("after repair+append replayed = %d, want 3", st.Replayed)
+	for i := 0; i < 4; i++ {
+		c3.Put(k(fmt.Sprintf("late%d", i)), []byte{byte(i)})
 	}
-	if v, ok := c3.Get(k("c")); !ok || !bytes.Equal(v, []byte("gamma")) {
-		t.Errorf("c = %q, %v", v, ok)
+	c3.Close()
+	// By name late3 < late1 < late2 < late0, so tied stamps would keep
+	// late2 and late0.
+	c4, err := Open(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c4.Close()
+	for _, name := range []string{"late2", "late3"} {
+		if _, ok := c4.Get(k(name)); !ok {
+			t.Errorf("%s evicted on reopen; Puts after a reopen must load newest, in Put order", name)
+		}
 	}
 }
 
-func TestCorruptMiddleStopsReplay(t *testing.T) {
+// A crash mid-publish leaves a temp file beside the result files. Even one
+// holding a complete, valid result image is never loaded: only a renamed
+// <key>.res is published.
+func TestTempFileNeverLoaded(t *testing.T) {
 	dir := t.TempDir()
 	c, _ := Open(dir, 8)
 	c.Put(k("a"), []byte("alpha"))
 	c.Put(k("b"), []byte("beta"))
 	c.Close()
-
-	path := filepath.Join(dir, logName)
-	raw, _ := os.ReadFile(path)
-	raw[recHdrLen+32+1] ^= 0xff // flip a bit inside the first record's value
-	os.WriteFile(path, raw, 0o644)
+	tmp := filepath.Join(dir, ".tmp-123456")
+	if err := os.Rename(resPath(dir, k("a")), tmp); err != nil {
+		t.Fatal(err)
+	}
 
 	c2, err := Open(dir, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	// CRC failure on record 1 means everything after it is untrusted too.
-	if st := c2.Stats(); st.Replayed != 0 || st.Entries != 0 {
-		t.Fatalf("replay past corrupt record: %+v", st)
+	if st := c2.Stats(); st.Replayed != 1 || st.Entries != 1 {
+		t.Fatalf("replay stats = %+v, want only b", st)
+	}
+	if _, ok := c2.Get(k("a")); ok {
+		t.Error("a was loaded from a temp file")
+	}
+	if v, ok := c2.Get(k("b")); !ok || string(v) != "beta" {
+		t.Errorf("b = %q, %v", v, ok)
+	}
+	// The temp file is left for the store's start-up sweep, not parsed.
+	if _, err := os.Stat(tmp); err != nil {
+		t.Errorf("temp file moved: %v", err)
 	}
 }
 
-func TestPutTriggersCompaction(t *testing.T) {
+// A result file that fails its CRC, is cut short, or holds another key's
+// body is quarantined as <name>.corrupt and never served; the intact files
+// beside it still load.
+func TestCorruptFileQuarantined(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(path string, data []byte) error
+	}{
+		{"truncated", func(path string, data []byte) error {
+			return os.WriteFile(path, data[:len(data)-7], 0o644)
+		}},
+		{"bit-flipped", func(path string, data []byte) error {
+			data[len(data)/2] ^= 0x01
+			return os.WriteFile(path, data, 0o644)
+		}},
+		{"other key", func(path string, _ []byte) error {
+			other, err := os.ReadFile(resPath(filepath.Dir(path), k("b")))
+			if err != nil {
+				return err
+			}
+			return os.WriteFile(path, other, 0o644)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			c, _ := Open(dir, 8)
+			c.Put(k("a"), []byte("alpha, long enough to cut"))
+			c.Put(k("b"), []byte("beta"))
+			c.Close()
+			path := resPath(dir, k("a"))
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.corrupt(path, data); err != nil {
+				t.Fatal(err)
+			}
+
+			c2, err := Open(dir, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c2.Close()
+			if v, ok := c2.Get(k("a")); ok {
+				t.Errorf("corrupt entry served: %q", v)
+			}
+			if v, ok := c2.Get(k("b")); !ok || string(v) != "beta" {
+				t.Errorf("b = %q, %v", v, ok)
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Errorf("corrupt file still at its name: %v", err)
+			}
+			if _, err := os.Stat(path + ".corrupt"); err != nil {
+				t.Errorf("corrupt file not quarantined: %v", err)
+			}
+		})
+	}
+}
+
+// The directory holds at most capacity result files: after more Puts than
+// that, and after reopening with a smaller capacity.
+func TestDiskBoundedByCapacity(t *testing.T) {
 	dir := t.TempDir()
-	c, err := Open(dir, 2)
+	c, err := Open(dir, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 6 distinct puts at capacity 2: garbage (appended - live) crosses the
-	// maxEntries threshold mid-run and the log is rewritten to the live set.
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 20; i++ {
 		if err := c.Put(k(fmt.Sprintf("k%d", i)), []byte{byte(i)}); err != nil {
 			t.Fatal(err)
+		}
+		if n := len(resFiles(dir)); n > 4 {
+			t.Fatalf("after put %d: %d result files, want <= 4", i, n)
 		}
 	}
 	c.Close()
 
-	c2, err := Open(dir, 8)
+	c2, err := Open(dir, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	st := c2.Stats()
-	if st.Replayed >= 6 {
-		t.Errorf("replayed %d records; compaction never ran", st.Replayed)
+	if n := len(resFiles(dir)); n != 2 {
+		t.Errorf("after reopening at capacity 2: %d result files, want 2", n)
 	}
-	// The two live entries at close time survive.
-	for i := 4; i < 6; i++ {
+	// The two most recently written keys survive.
+	for i := 18; i < 20; i++ {
 		if v, ok := c2.Get(k(fmt.Sprintf("k%d", i))); !ok || v[0] != byte(i) {
 			t.Errorf("k%d = %v, %v", i, v, ok)
 		}
 	}
 }
 
-func TestOpenCompactsBloatedLog(t *testing.T) {
-	dir := t.TempDir()
-	c, err := Open(dir, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		c.Put(k(fmt.Sprintf("k%d", i)), []byte{byte(i)})
-	}
-	c.Close()
-
-	// Reopening with a small capacity makes most replayed records garbage;
-	// Open compacts down to the live set.
-	c2, err := Open(dir, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c2.Len(); got != 4 {
-		t.Fatalf("live entries = %d, want 4", got)
-	}
-	c2.Close()
-	c3, err := Open(dir, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c3.Close()
-	if st := c3.Stats(); st.Replayed != 4 {
-		t.Errorf("after compaction replayed = %d, want 4", st.Replayed)
-	}
-	// The four most recent keys survive in LRU order.
-	for i := 16; i < 20; i++ {
-		if v, ok := c3.Get(k(fmt.Sprintf("k%d", i))); !ok || v[0] != byte(i) {
-			t.Errorf("k%d = %v, %v", i, v, ok)
-		}
-	}
-}
-
-// Log compaction rewrites the file while readers and writers keep hitting
-// the in-memory LRU. Run under -race, this pins down the two-lock design:
-// compaction (under logMu) snapshots the live set under mu, and concurrent
-// Put/Get traffic must neither race the snapshot nor corrupt the log.
-func TestCompactionRacesConcurrentPutGet(t *testing.T) {
+// Concurrent Puts, Gets and evictions: run under -race, this pins down the
+// two-lock design. Readers never see a value nobody wrote, the directory
+// never outgrows the capacity, and a reopen finds only written values.
+func TestConcurrentPutGetEvict(t *testing.T) {
 	dir := t.TempDir()
 	const capacity = 8
 	c, err := Open(dir, capacity)
@@ -269,9 +335,8 @@ func TestCompactionRacesConcurrentPutGet(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Each writer Puts its own key space, so log append order for any one
-	// key is well-defined (the documented serving-layer contract), while
-	// the shared garbage counter forces compaction many times over.
+	// Each writer Puts its own key space, and re-Puts of a key carry the
+	// same value, so every key has one correct value.
 	const (
 		writers = 4
 		readers = 4
@@ -302,11 +367,19 @@ func TestCompactionRacesConcurrentPutGet(t *testing.T) {
 					return
 				default:
 				}
+				if r == 0 {
+					// One reader watches the directory bound instead.
+					if n := len(resFiles(dir)); n > capacity {
+						t.Errorf("%d result files, want <= %d", n, capacity)
+						return
+					}
+					continue
+				}
 				key := k(fmt.Sprintf("w%d-k%d", i%writers, i%6))
 				if v, ok := c.Get(key); ok {
 					want := fmt.Sprintf("w%d-v%d", i%writers, i%6)
 					if string(v) != want {
-						t.Errorf("reader %d: key %s = %q, want %q", r, key[:4], v, want)
+						t.Errorf("reader %d: key %x = %q, want %q", r, key[:4], v, want)
 						return
 					}
 				}
@@ -320,27 +393,24 @@ func TestCompactionRacesConcurrentPutGet(t *testing.T) {
 	rWg.Wait()
 
 	if c.Stats().Evictions == 0 {
-		t.Error("workload never evicted — capacity too large to exercise compaction")
+		t.Error("workload never evicted — capacity too large to exercise eviction")
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// The surviving log replays cleanly and every replayed value is one the
+	// Every file holds a live entry, and every reloaded value is one the
 	// workload actually wrote (value matches its key's writer and slot).
+	if n := len(resFiles(dir)); n != capacity {
+		t.Errorf("%d result files at rest, want %d", n, capacity)
+	}
 	c2, err := Open(dir, capacity)
 	if err != nil {
-		t.Fatalf("reopen after racy compaction: %v", err)
+		t.Fatalf("reopen after concurrent puts: %v", err)
 	}
 	defer c2.Close()
-	st := c2.Stats()
-	// Compaction bounds the log: at most capacity live records plus
-	// capacity not-yet-compacted garbage records survive to replay.
-	if st.Replayed == 0 || st.Replayed > 2*capacity {
-		t.Errorf("replayed = %d, want 1..%d", st.Replayed, 2*capacity)
-	}
-	if got := c2.Len(); got > capacity {
-		t.Errorf("live entries after replay = %d, want <= %d", got, capacity)
+	if st := c2.Stats(); st.Replayed != capacity || st.Entries != capacity {
+		t.Errorf("replay stats = %+v, want %d entries", st, capacity)
 	}
 	for w := 0; w < writers; w++ {
 		for i := 0; i < 6; i++ {

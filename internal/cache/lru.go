@@ -6,11 +6,10 @@ import (
 )
 
 // LRU is a bounded least-recently-used map from content addresses to
-// arbitrary values, safe for concurrent use. It backs the caches whose
-// values are live objects rather than byte payloads — the compiled-plan
-// cache and the serving layer's warm solver sessions — so unlike Cache it
-// has no persistence layer; an optional eviction hook lets owners observe
-// entries falling out.
+// arbitrary values, safe for concurrent use. It is the memory of Cache and
+// backs the caches whose values are live objects rather than byte payloads
+// — the compiled-plan cache and the serving layer's warm solver sessions;
+// an optional eviction hook lets owners observe entries falling out.
 type LRU[V any] struct {
 	mu         sync.Mutex
 	maxEntries int

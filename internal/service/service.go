@@ -888,7 +888,7 @@ func (s *Server) solveAndStore(ctx context.Context, key cache.Key, in core.Input
 	return body, nil
 }
 
-// storeResult caches a response body. A failed durable append still leaves
+// storeResult caches a response body. A failed durable publish still leaves
 // the entry readable in memory; the failure is only visible operationally,
 // via the linksynthd_cache_put_errors_total counter.
 func (s *Server) storeResult(key cache.Key, body []byte) {
@@ -999,10 +999,10 @@ func (s *Server) metricsExposition() string {
 	counter("cache_misses_total", cs.Misses, "result cache misses")
 	counter("cache_evictions_total", cs.Evictions, "LRU evictions")
 	gauge("cache_entries", int64(cs.Entries), "live cache entries")
-	gauge("cache_replayed_entries", int64(cs.Replayed), "entries recovered from the append-only log at startup")
+	gauge("cache_replayed_entries", int64(cs.Replayed), "entries loaded from result files at startup")
 	counter("solver_runs_total", s.solveRuns.Load(), "instances actually solved (cache misses)")
 	counter("solver_errors_total", s.solveErrors.Load(), "solver runs that failed")
-	counter("cache_put_errors_total", s.cachePutFails.Load(), "results that could not be appended to the durable log")
+	counter("cache_put_errors_total", s.cachePutFails.Load(), "results that could not be published as durable result files")
 	counter("coalesced_requests_total", s.coalesced.Load(), "requests served by another request's in-flight solve")
 	counter("rejected_total", s.rejectedBusy.Load(), "requests shed because the solve queue was full")
 	counter("jobs_accepted_total", s.jobsAccepted.Load(), "async jobs accepted")
@@ -1054,7 +1054,7 @@ func (s *Server) metricsExposition() string {
 		st := s.store.Stats()
 		gauge("store_snapshot_bytes", st.SnapshotBytes, "bytes of columnar snapshots on disk")
 		gauge("store_session_bytes", st.SessionBytes, "bytes of session records on disk")
-		gauge("store_cache_bytes", st.CacheBytes, "bytes of the result-cache log on disk")
+		gauge("store_cache_bytes", st.CacheBytes, "bytes of result-cache files on disk")
 		gauge("store_snapshots", int64(st.Snapshots), "columnar snapshots resident on disk")
 		gauge("store_sessions", int64(st.Sessions), "session records resident on disk")
 		gauge("store_snapshots_mapped", st.MappedNow, "snapshots currently memory-mapped")

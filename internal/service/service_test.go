@@ -249,8 +249,8 @@ func TestWarmCacheDirSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A fresh process against the same -cache-dir serves the instance
-	// without re-solving.
+	// A fresh process against the same cache directory serves the
+	// instance without re-solving.
 	c2, err := cache.Open(dir, 64)
 	if err != nil {
 		t.Fatal(err)

@@ -104,7 +104,7 @@ func (s *Server) reviveSession(ctx context.Context, base cache32) *svcSession {
 	}
 	tr := obsv.FromContext(ctx)
 	start := time.Now()
-	corruptBefore := s.store.Stats().CorruptFiles
+	corruptBefore := s.store.CorruptFiles()
 	ss := s.restoreSession(base)
 	if ss != nil {
 		tr.Event("store: session restored from local store")
@@ -117,7 +117,7 @@ func (s *Server) reviveSession(ctx context.Context, base cache32) *svcSession {
 		dur := time.Since(start)
 		tr.Span("restore", start, dur)
 		s.obs.Restore.Observe(dur)
-	} else if s.store.Stats().CorruptFiles > corruptBefore {
+	} else if s.store.CorruptFiles() > corruptBefore {
 		tr.SetError("store: file quarantined during session restore")
 	}
 	return ss

@@ -162,6 +162,78 @@ func TestRestartRefusesCorruptSession(t *testing.T) {
 	}
 }
 
+// A result file that fails verification at startup — cut short, a flipped
+// bit, or another key's file under this key's name — is quarantined and
+// never served: the restarted node re-solves the key and answers with the
+// bytes the first process served.
+func TestRestartResolvesCorruptResultFile(t *testing.T) {
+	reqs := []SolveRequest{
+		{InstanceJSON: testInstance(2), Options: &OptionsJSON{Seed: 1}},
+		{InstanceJSON: testInstance(3), Options: &OptionsJSON{Seed: 1}},
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(a, b []byte) []byte
+	}{
+		{"truncated", func(a, _ []byte) []byte { return a[:len(a)-7] }},
+		{"bit-flipped", func(a, _ []byte) []byte { a[len(a)/2] ^= 0x01; return a }},
+		{"other key", func(_, b []byte) []byte { return b }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s1, ts1, st := newStoreServer(t, dir)
+			var bodies, files [2][]byte
+			var paths [2]string
+			for i, req := range reqs {
+				resp := postJSON(t, ts1.URL+"/v1/solve", req)
+				bodies[i] = readBody(t, resp)
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("solve %d: status %d: %s", i, resp.StatusCode, bodies[i])
+				}
+				var sr SolveResponse
+				if err := json.Unmarshal(bodies[i], &sr); err != nil {
+					t.Fatal(err)
+				}
+				paths[i] = filepath.Join(st.CacheDir(), sr.Key+".res")
+			}
+			ts1.Close()
+			s1.Close()
+			for i, path := range paths {
+				var err error
+				if files[i], err = os.ReadFile(path); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := os.WriteFile(paths[0], tc.corrupt(files[0], files[1]), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			s2, ts2, _ := newStoreServer(t, dir)
+			defer func() { ts2.Close(); s2.Close() }()
+			if got := metricValue(t, ts2.URL, "cache_replayed_entries"); got != 1 {
+				t.Errorf("cache_replayed_entries = %d, want 1 (the intact file)", got)
+			}
+			if _, err := os.Stat(paths[0] + ".corrupt"); err != nil {
+				t.Errorf("corrupt result file not quarantined: %v", err)
+			}
+			resp := postJSON(t, ts2.URL+"/v1/solve", reqs[0])
+			body := readBody(t, resp)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("solve after restart: status %d: %s", resp.StatusCode, body)
+			}
+			if got := resp.Header.Get("X-Linksynth-Cache"); got != "miss" {
+				t.Errorf("cache header %q, want miss: the corrupt entry was served", got)
+			}
+			if !bytes.Equal(body, bodies[0]) {
+				t.Error("re-solved body differs from the first process's body")
+			}
+			if got := metricValue(t, ts2.URL, "solver_runs_total"); got != 1 {
+				t.Errorf("solver_runs_total = %d, want 1", got)
+			}
+		})
+	}
+}
+
 // TestClusterWarmHandoff: a node that never saw the base pulls the session
 // record and its snapshots from a peer's durable store and answers the delta
 // warm. The request carries the hop header so the receiving node serves it

@@ -1,7 +1,7 @@
 // Package store is the disk-resident tier under the serving layer's warm
 // path: content-addressed columnar snapshots, persisted session records
 // (base instance references, constraints, compiled plan), and the result
-// cache's log, all under one data directory.
+// cache's files, all under one data directory and in one file format.
 //
 // Durability follows the MOD recipe: all data files are immutable and
 // published with a single atomic flip — write to a temp file in the target
@@ -19,6 +19,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"time"
 )
 
 // File framing: a 16-byte header (magic, file kind, version) followed by
@@ -36,6 +37,7 @@ const fileVersion = 1
 const (
 	fileKindSnapshot uint32 = 1
 	fileKindSession  uint32 = 2
+	fileKindResult   uint32 = 3
 )
 
 // Section kinds.
@@ -45,6 +47,8 @@ const (
 	secSessMeta     uint32 = 3 // session record metadata
 	secSessCons     uint32 = 4 // constraint text (constraint.WriteConstraints)
 	secSessPlan     uint32 = 5 // core.Plan blob (empty when no plan)
+	secResKey       uint32 = 6 // result cache key (the file's name)
+	secResBody      uint32 = 7 // cached response body
 )
 
 type section struct {
@@ -141,6 +145,12 @@ func findSection(secs []section, kind uint32) ([]byte, error) {
 // rename → fsync-dir discipline; after it returns, the file is durable and
 // readers see either the complete content or nothing.
 func atomicWriteFile(path string, data []byte) error {
+	return atomicWriteFileAt(path, data, time.Time{})
+}
+
+// atomicWriteFileAt also stamps the file with modification time mod,
+// unless zero, before the fsync that makes it as durable as the content.
+func atomicWriteFileAt(path string, data []byte, mod time.Time) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".tmp-*")
 	if err != nil {
@@ -154,6 +164,11 @@ func atomicWriteFile(path string, data []byte) error {
 	}
 	if _, err := tmp.Write(data); err != nil {
 		return cleanup(err)
+	}
+	if !mod.IsZero() {
+		if err := os.Chtimes(tmpName, mod, mod); err != nil {
+			return cleanup(err)
+		}
 	}
 	if err := tmp.Sync(); err != nil {
 		return cleanup(err)

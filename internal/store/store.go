@@ -44,7 +44,7 @@ const (
 //
 //	<dir>/snapshots/<fp>.snap  immutable relation snapshots, named by content
 //	<dir>/sessions/<fp>.sess   session records, named by base fingerprint
-//	<dir>/cache/               home of the result cache's append-only log
+//	<dir>/cache/<fp>.res       result cache bodies, named by request fingerprint
 //	<dir>/flight/              flight-recorder dumps of failed traces (JSON)
 //
 // All files are published atomically (write-temp → fsync → rename), so the
@@ -86,7 +86,7 @@ func Open(dir string) (*Store, error) {
 // Dir returns the store's root data directory.
 func (s *Store) Dir() string { return s.dir }
 
-// CacheDir returns the directory the result cache's log lives in.
+// CacheDir returns the directory the result cache's files live in.
 func (s *Store) CacheDir() string { return filepath.Join(s.dir, "cache") }
 
 // FlightDir returns the directory the flight recorder dumps failed-request
@@ -400,6 +400,10 @@ func dirUsage(dir, ext string) (bytes int64, files int) {
 	}
 	return bytes, files
 }
+
+// CorruptFiles returns the number of snapshot and session files quarantined
+// so far; unlike Stats, it does not walk the data directory.
+func (s *Store) CorruptFiles() uint64 { return s.corruptFiles.Load() }
 
 // Stats scans the data directory; cheap enough for a metrics scrape.
 func (s *Store) Stats() Stats {

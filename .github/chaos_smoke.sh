@@ -138,15 +138,18 @@ for _ in $(seq 1 "$ROUNDS"); do
     done
   done
 done
-test "$wrong" -eq 0
-
 resolves=$(( $(metric "$n2" solver_runs_total) - runs2 + $(metric "$n3" solver_runs_total) - runs3 ))
 colds=$(( $(metric "$n2" incr_cold_solves_total) - cold2 + $(metric "$n3" incr_cold_solves_total) - cold3 ))
+failovers2=$(metric "$n2" cluster_failovers_total); failovers3=$(metric "$n3" cluster_failovers_total)
+failovers=$(( failovers2 + failovers3 ))
+restored=$(( $(metric "$n2" store_sessions_restored_total) + $(metric "$n3" store_sessions_restored_total) ))
+# Report the numbers before gating on them, so a failed run says which.
+echo "chaos: wrong=$wrong resolves=$resolves colds=$colds failovers=$failovers" \
+  "(n2 $failovers2, n3 $failovers3) restored=$restored" >&2
+test "$wrong" -eq 0
 test "$resolves" -eq 0   # replicated fingerprints never re-solve
 test "$colds" -eq 0
-failovers=$(( $(metric "$n2" cluster_failovers_total) + $(metric "$n3" cluster_failovers_total) ))
 test "$failovers" -ge 1
-restored=$(( $(metric "$n2" store_sessions_restored_total) + $(metric "$n3" store_sessions_restored_total) ))
 test "$restored" -ge 1
 # The failover left its trail in a survivor's flight recorder.
 curl -fsS "$n2/debug/flight" > "$work/flight"
@@ -199,6 +202,7 @@ done
 requests=$(wc -l < "$work/latencies")
 p99=$(sort -n "$work/latencies" | awk -v n="$requests" 'NR == int(n * 0.99) + ((n * 0.99 == int(n * 0.99)) ? 0 : 1) {print; exit}')
 maxms=$(sort -n "$work/latencies" | tail -1)
+echo "chaos: p99=${p99}ms max=${maxms}ms budget=${P99_BUDGET_MS}ms over $requests requests" >&2
 test "$p99" -le "$P99_BUDGET_MS"
 
 printf '{"nodes":3,"replicas":2,"fingerprints":%d,"rounds":%d,"requests":%d,"wrong_bytes":%d,"survivor_resolves":%d,"survivor_cold_solves":%d,"failovers":%d,"sessions_restored":%d,"p99_ms":%d,"max_ms":%d,"p99_budget_ms":%d}\n' \

@@ -23,11 +23,12 @@ type Key = [32]byte
 
 // Stats is a point-in-time snapshot of cache effectiveness counters.
 type Stats struct {
-	Entries   int
-	Hits      uint64
-	Misses    uint64
-	Evictions uint64
-	Replayed  int // entries loaded from result files at Open
+	Entries     int
+	Hits        uint64
+	Misses      uint64
+	Evictions   uint64
+	Replayed    int // entries loaded from result files at Open
+	Quarantined int // result files Open renamed aside as corrupt
 }
 
 // Cache is a bounded LRU over content-addressed byte values, safe for
@@ -38,8 +39,9 @@ type Stats struct {
 // LRU. A Put holds fileMu across its memory update and its file writes, so
 // cache hits never wait behind an fsync.
 type Cache struct {
-	lru      *LRU[[]byte]
-	replayed int
+	lru         *LRU[[]byte]
+	replayed    int
+	quarantined int
 
 	fileMu  sync.Mutex
 	files   *store.ResultDir // guarded by fileMu; nil when memory-only or closed
@@ -71,6 +73,7 @@ func Open(dir string, maxEntries int) (*Cache, error) {
 		return nil, fmt.Errorf("cache: remove evicted: %w", err)
 	}
 	c.evicted = nil
+	c.quarantined = files.Quarantined()
 	c.fileMu.Lock() // uncontended: nobody else holds c yet
 	c.files = files
 	c.fileMu.Unlock()
@@ -110,7 +113,7 @@ func (c *Cache) Len() int { return c.lru.Len() }
 // Stats returns a snapshot of the effectiveness counters.
 func (c *Cache) Stats() Stats {
 	ls := c.lru.Stats()
-	return Stats{Entries: ls.Entries, Hits: ls.Hits, Misses: ls.Misses, Evictions: ls.Evictions, Replayed: c.replayed}
+	return Stats{Entries: ls.Entries, Hits: ls.Hits, Misses: ls.Misses, Evictions: ls.Evictions, Replayed: c.replayed, Quarantined: c.quarantined}
 }
 
 // Close detaches the cache from its directory. The in-memory contents

@@ -286,6 +286,9 @@ func TestCorruptFileQuarantined(t *testing.T) {
 			if _, err := os.Stat(path + ".corrupt"); err != nil {
 				t.Errorf("corrupt file not quarantined: %v", err)
 			}
+			if st := c2.Stats(); st.Quarantined != 1 {
+				t.Errorf("Stats().Quarantined = %d, want 1", st.Quarantined)
+			}
 		})
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-
-	"repro/internal/sched"
 )
 
 // SolveBatch solves many C-Extension instances over one shared bounded
@@ -27,14 +25,7 @@ import (
 // phase. Each completed instance's output is byte-identical to a
 // standalone Solve(inputs[i], opt).
 func SolveBatch(ctx context.Context, inputs []Input, opt Options) ([]*Result, error) {
-	return SolveBatchOn(ctx, inputs, opt, PoolFor(opt))
-}
-
-// SolveBatchOn is SolveBatch against a caller-owned worker pool (nil runs
-// fully sequentially), ignoring opt.Workers: servers share one pool across
-// every batch and every single solve so that concurrent callers never
-// oversubscribe the host.
-func SolveBatchOn(ctx context.Context, inputs []Input, opt Options, pool *sched.Pool) ([]*Result, error) {
+	pool := PoolFor(opt)
 	results := make([]*Result, len(inputs))
 	errs := make([]error, len(inputs))
 	pool.ForEach(len(inputs), func(i int) {

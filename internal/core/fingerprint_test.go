@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/constraint"
@@ -250,7 +251,7 @@ func TestPlanRemapMatchesDirectClassification(t *testing.T) {
 	}
 
 	st := NewSessionState()
-	withPlan, err := SolveSession(in, opt, st, Changes{Full: true}, plan, nil)
+	withPlan, err := SolveSessionContext(context.Background(), in, opt, st, Changes{Full: true}, plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,8 +27,8 @@ type SessionState struct {
 // memoKeep bounds the retained phase-2 memos per session.
 const memoKeep = 3
 
-// NewSessionState returns an empty warm state; the first SolveSession call
-// through it runs cold and fills it.
+// NewSessionState returns an empty warm state; the first
+// SolveSessionContext call through it runs cold and fills it.
 func NewSessionState() *SessionState { return &SessionState{} }
 
 // Reset drops all warm state; the next solve runs cold.
@@ -59,11 +59,12 @@ type Changes struct {
 }
 
 // errSpliceDiverged signals that a spliced partition's replay disagreed
-// with the live fresh-key state — a bug guard; SolveSession reacts by
-// discarding the warm state and re-solving cold.
+// with the live fresh-key state — a bug guard; SolveSessionContext reacts
+// by discarding the warm state and re-solving cold.
 var errSpliceDiverged = errors.New("core: spliced partition diverged from fresh-key state")
 
-// SolveSession solves in/opt reusing (and refreshing) the warm state in st.
+// SolveSessionContext solves in/opt reusing (and refreshing) the warm state
+// in st.
 //
 // When st holds a compatible compiled problem, the problem is patched by
 // the declared changes instead of rebuilt — the columnar snapshot keeps its
@@ -81,18 +82,11 @@ var errSpliceDiverged = errors.New("core: spliced partition diverged from fresh-
 // (which disable splicing entirely).
 //
 // plan, when non-nil and matching, supplies the CC classification for cold
-// builds. pool follows SolveOn semantics (nil = sequential).
-//
-//lint:ctxflow non-cancellable convenience wrapper; SolveSessionContext is the serving-path entry
-func SolveSession(in Input, opt Options, st *SessionState, ch Changes, plan *Plan, pool *sched.Pool) (*Result, error) {
-	return SolveSessionContext(nil, in, opt, st, ch, plan, pool)
-}
-
-// SolveSessionContext is SolveSession with cooperative cancellation
-// (SolveOnContext semantics: checked at phase boundaries, nil never
-// cancels). A canceled solve may have mutated the retained problem mid-way
-// through phase I, so the warm state is dropped before returning — the
-// session's next solve rebuilds cold, which is always correct.
+// builds. pool and ctx follow SolveOnContext semantics (nil pool =
+// sequential; ctx checked at phase boundaries, nil never cancels). A
+// canceled solve may have mutated the retained problem mid-way through
+// phase I, so the warm state is dropped before returning — the session's
+// next solve rebuilds cold, which is always correct.
 func SolveSessionContext(ctx context.Context, in Input, opt Options, st *SessionState, ch Changes, plan *Plan, pool *sched.Pool) (*Result, error) {
 	if st == nil {
 		st = NewSessionState()

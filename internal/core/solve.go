@@ -45,23 +45,17 @@ func Solve(in Input, opt Options) (*Result, error) {
 	return solveOnPool(nil, in, opt, PoolFor(opt))
 }
 
-// SolveOn is Solve against a caller-owned worker pool (nil runs fully
-// sequentially). Long-lived callers — notably the serving layer — create
-// one pool at startup and route every request's solve through it, so the
-// process-wide parallelism stays bounded no matter how many requests are in
-// flight. opt.Workers is ignored; the pool is the parallelism policy.
-//
-//lint:ctxflow non-cancellable convenience wrapper for tests and CLIs; SolveOnContext is the serving-path entry
-func SolveOn(in Input, opt Options, pool *sched.Pool) (*Result, error) {
-	return solveOnPool(nil, in, opt, pool)
-}
-
-// SolveOnContext is SolveOn with cooperative cancellation: ctx is observed
-// at the solver's phase boundaries (before phase I, between the Hasse and
-// ILP stages, and before phase II), so a canceled request stops within one
+// SolveOnContext is Solve against a caller-owned worker pool (nil runs
+// fully sequentially), with cooperative cancellation. Long-lived callers —
+// notably the serving layer — create one pool at startup and route every
+// request's solve through it, so the process-wide parallelism stays
+// bounded no matter how many requests are in flight; opt.Workers is
+// ignored, the pool is the parallelism policy. ctx is observed at the
+// solver's phase boundaries (before phase I, between the Hasse and ILP
+// stages, and before phase II), so a canceled request stops within one
 // phase rather than running the solve to completion. A nil ctx never
 // cancels. Results are unaffected by cancellation timing: a solve either
-// finishes byte-identical to SolveOn or returns ctx's error.
+// finishes byte-identical to Solve or returns ctx's error.
 func SolveOnContext(ctx context.Context, in Input, opt Options, pool *sched.Pool) (*Result, error) {
 	return solveOnPool(ctx, in, opt, pool)
 }

@@ -148,7 +148,7 @@ type Stats struct {
 	AddedR2Tuples       int
 
 	// Incremental-solve diagnostics (the session / delta path; see
-	// SolveSession). All zero for a plain Solve.
+	// SolveSessionContext). All zero for a plain Solve.
 	PlanReused        bool // CC classification came from a compiled Plan
 	ProbReused        bool // the compiled problem was patched, not rebuilt
 	SplicedPartitions int  // phase-2 partitions spliced from the prior solve

@@ -149,8 +149,8 @@ type Session struct {
 
 // Open validates the instance, compiles (or fetches) its structural plan,
 // and returns a session ready to Solve. pool, when non-nil, bounds the
-// solver's parallelism (core.SolveOn semantics); nil derives a pool from
-// opt.Workers.
+// solver's parallelism (core.SolveOnContext semantics); nil derives a pool
+// from opt.Workers.
 //
 //lint:ctxflow opening only clones tables and stores the pool; no solver work runs until Solve/Resolve, whose Context variants carry cancellation
 func (e *Engine) Open(in core.Input, opt core.Options, pool *sched.Pool) (*Session, error) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/hex"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -116,6 +117,25 @@ func nodeByURL(t *testing.T, nodes []*clusterNode, url string) *clusterNode {
 	}
 	t.Fatalf("no node with url %s", url)
 	return nil
+}
+
+// A batch-solved key replicates like a sync-solved one: with one replica,
+// a one-instance batch on the key's owner reaches its ring-successor.
+func TestClusterBatchResultReplicates(t *testing.T) {
+	nodes := newElasticCluster(t, 2, 1, false)
+	opts := &OptionsJSON{Seed: 1}
+	inst := instanceOwnedBy(t, []string{nodes[0].url, nodes[1].url}, nodes[0].url, opts, 3000)
+	resp := postJSON(t, nodes[0].url+"/v1/batch", BatchRequest{Instances: []InstanceJSON{inst}, Options: opts})
+	var js jobStatusJSON
+	if err := json.Unmarshal(readBody(t, resp), &js); err != nil {
+		t.Fatal(err)
+	}
+	if js = waitJobDone(t, nodes[0].url, js.ID); js.Status != jobDone {
+		t.Fatalf("job ended %q", js.Status)
+	}
+	waitFor(t, "the batch result's replica", func() bool {
+		return metricValue(t, nodes[1].url, "cluster_replica_ingested_total") >= 1
+	})
 }
 
 // The tentpole acceptance check: with -replicas 2, killing a key's owner

@@ -2,13 +2,10 @@ package service
 
 import (
 	"context"
-	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 
 	"repro/internal/cache"
@@ -220,91 +217,83 @@ func (s *Server) solveInstances(j *job, idxs []int, results []json.RawMessage) {
 		keyIdx[inst.key] = append(keyIdx[inst.key], i)
 	}
 
+	// fill writes one key's outcome into every result slot asking for it.
+	fill := func(k cache.Key, body []byte, err error) {
+		for _, i := range keyIdx[k] {
+			if err != nil {
+				results[i] = errResult("%v", err)
+			} else {
+				results[i] = body
+			}
+		}
+	}
+
 	// Partition the distinct keys: keys another request is already solving
-	// are followed through the same resolve() path a sync request uses
-	// (inherits its coalescing and cancellation-retry semantics); the rest
-	// are led by this job, registered in the inflight map so concurrent
-	// sync requests coalesce onto the job's solve in turn.
+	// are followed through resolve, the sync path's singleflight (which
+	// brings its coalescing and cancellation-retry rules); the rest are led
+	// by this job, registered in the inflight map so concurrent sync
+	// requests coalesce onto the job's solve in turn.
 	var lead, follow []cache.Key
-	flights := make(map[cache.Key]*flight)
+	var flights []*flight // parallel to lead
 	for _, k := range order {
-		f, isLead := s.tryLead(k)
-		if isLead {
-			flights[k] = f
-			lead = append(lead, k)
+		if f, isLead := s.tryLead(k); isLead {
+			lead, flights = append(lead, k), append(flights, f)
 		} else {
 			follow = append(follow, k)
 		}
 	}
 
-	// finish settles one led key everywhere: the shared flight (waking
-	// followers), the inflight map, and this job's result slots.
-	finish := func(k cache.Key, body []byte, err error) {
-		s.settle(k, flights[k], body, err)
-		for _, i := range keyIdx[k] {
-			if err != nil {
-				results[i] = errResult("%v", err)
-			} else {
-				results[i] = body
-			}
-		}
-	}
-
 	if len(lead) > 0 {
-		if err := j.ctx.Err(); err != nil {
-			for _, k := range lead {
-				finish(k, nil, err)
-			}
-		} else if err := s.acquire(j.ctx); err != nil {
-			for _, k := range lead {
-				finish(k, nil, err)
-			}
-		} else {
-			inputs := make([]core.Input, len(lead))
-			for b, k := range lead {
-				inputs[b] = j.instances[keyIdx[k][0]].in
-			}
+		// One admission slot covers the job's whole fan-out of instances
+		// over the shared pool; it is released before anything publishes.
+		res := make([]*core.Result, len(lead))
+		errs := make([]error, len(lead))
+		admit := j.ctx.Err()
+		if admit == nil {
+			admit = s.acquire(j.ctx)
+		}
+		if admit == nil {
 			s.solveRuns.Add(uint64(len(lead)))
-			rs, err := core.SolveBatchOn(j.ctx, inputs, j.opt, s.pool)
+			s.pool.ForEach(len(lead), func(b int) {
+				if errs[b] = j.ctx.Err(); errs[b] == nil {
+					res[b], errs[b] = core.SolveOnContext(j.ctx, j.instances[keyIdx[lead[b]][0]].in, j.opt, s.pool)
+				}
+			})
 			s.release()
-			msgs := batchErrMessages(err)
-			for b, k := range lead {
-				if rs[b] == nil {
-					s.solveErrors.Add(1)
-					// Preserve the typed cancellation chain: sync followers
-					// of this flight decide retry-vs-fail with errors.Is.
-					var ierr error
-					if ctxErr := j.ctx.Err(); ctxErr != nil {
-						ierr = fmt.Errorf("batch instance %d: %w", b, ctxErr)
-					} else if m, ok := msgs[b]; ok {
-						ierr = errors.New(m)
-					} else {
-						ierr = errors.New("solve failed")
-					}
-					finish(k, nil, ierr)
-					continue
-				}
-				i0 := keyIdx[k][0]
-				body, encErr := encodeSolveBody(hex.EncodeToString(k[:]), j.instances[i0].in, rs[b])
-				if encErr != nil {
-					finish(k, nil, fmt.Errorf("encode result: %w", encErr))
-					continue
-				}
-				s.storeResult(k, body)
-				finish(k, body, nil)
+		}
+		// An instance's error message is part of the job's results on the
+		// wire, so its wording stays fixed.
+		for b, k := range lead {
+			var body []byte
+			err := admit
+			switch {
+			case err != nil:
+			case errs[b] == nil:
+				s.countIncr(&res[b].Stats)
+				body, err = s.publish(k, j.instances[keyIdx[k][0]].in, res[b])
+			case j.ctx.Err() != nil:
+				// Preserve the typed cancellation chain: sync followers
+				// of this flight decide retry-vs-fail with errors.Is.
+				s.solveErrors.Add(1)
+				err = fmt.Errorf("batch instance %d: %w", b, j.ctx.Err())
+			default:
+				s.solveErrors.Add(1)
+				err = fmt.Errorf("core: batch instance %d: %w", b, errs[b])
 			}
+			s.settle(k, flights[b], body, err)
+			fill(k, body, err)
 		}
 	}
 
 	for _, k := range follow {
-		body, _, err := s.resolve(j.ctx, k, j.instances[keyIdx[k][0]].in, j.opt)
-		for _, i := range keyIdx[k] {
-			if err != nil {
-				results[i] = errResult("%v", err)
-			} else {
-				results[i] = body
-			}
+		// The followed flight has most likely settled while this job led
+		// its own keys, so the cache answers before a new flight starts.
+		body, ok := s.cache.Get(k)
+		var err error
+		if !ok {
+			body, _, err = s.resolve(j.ctx, k, j.instances[keyIdx[k][0]].in, j.opt, false)
 		}
+		fill(k, body, err)
 	}
 }
 
@@ -405,22 +394,6 @@ func (s *Server) gatherRemote(j *job, req *BatchRequest, g cluster.Group, result
 		results[i] = subResults[bi]
 	}
 	return nil
-}
-
-// batchErrMessages recovers per-instance messages from SolveBatch's joined
-// error: each line is annotated with its index in the batch.
-func batchErrMessages(err error) map[int]string {
-	if err == nil {
-		return nil
-	}
-	out := make(map[int]string)
-	for _, line := range strings.Split(err.Error(), "\n") {
-		var idx int
-		if n, _ := fmt.Sscanf(line, "core: batch instance %d:", &idx); n == 1 {
-			out[idx] = line
-		}
-	}
-	return out
 }
 
 func errResult(format string, args ...any) json.RawMessage {

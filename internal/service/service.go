@@ -176,8 +176,8 @@ type svcSession struct {
 var errNoSession = errors.New("service: no warm session for base fingerprint")
 
 // flight is one in-progress solve that followers of the same key wait on.
-// For delta flights (keyed by (base, delta), not by content fingerprint)
-// the leader also records the patched instance's fingerprint in key.
+// key is the content fingerprint of the leader's result, which for a delta
+// flight (keyed by (base, delta)) is the patched instance's.
 type flight struct {
 	done chan struct{}
 	body []byte
@@ -433,36 +433,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "fingerprint: %v", err)
 		return
 	}
-	if s.clu != nil && !hopped {
-		// The local cache answers first: it is authoritative for keys this
-		// node owns and byte-identical for any key it happens to hold
-		// (replica pushes and fallback solves populate it), so skipping the
-		// hop is always safe — and it is exactly how a successor serves a
-		// dead owner's keys warm.
-		if body, ok := s.cache.Get(key); ok {
-			s.noteReplicaServe(r.Context(), key)
-			s.parkSessionAsync(key, p.in, p.opt)
-			obsv.FromContext(r.Context()).Event("cache: byte cache answered")
-			s.writeSolveBody(w, r, key, "hit", body)
-			return
-		}
-		if _, self := s.clu.OwnerOf(key); !self {
-			if s.forwardSolve(w, r, key, raw) {
-				return
-			}
-			// The chain walk ended on this node: it is now the best
-			// surviving candidate for the key, so it serves — warm when the
-			// key was replicated here, cold only as the new owner.
-		}
-		// The miss is already recorded by the Get above.
-		body, status, err := s.resolveMiss(r.Context(), key, p.in, p.opt)
-		if err != nil {
-			writeResolveError(w, err)
-			return
-		}
-		s.writeSolveBody(w, r, key, status, body)
-		return
-	}
+	// The local cache answers first, clustered or not: it is authoritative
+	// for keys this node owns and byte-identical for any key it happens to
+	// hold (replica pushes and fallback solves populate it), so skipping
+	// the hop is always safe — and it is exactly how a successor serves a
+	// dead owner's keys warm.
 	if body, ok := s.cache.Get(key); ok {
 		s.noteReplicaServe(r.Context(), key)
 		s.parkSessionAsync(key, p.in, p.opt)
@@ -470,7 +445,15 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.writeSolveBody(w, r, key, "hit", body)
 		return
 	}
-	body, status, err := s.resolveMiss(r.Context(), key, p.in, p.opt)
+	if s.clu != nil && !hopped {
+		if _, self := s.clu.OwnerOf(key); !self && s.forwardSolve(w, r, key, raw) {
+			return
+		}
+		// This node owns the key, or the chain walk ended here: it is now
+		// the best surviving candidate for the key, so it serves — warm
+		// when the key was replicated here, cold only as the new owner.
+	}
+	body, status, err := s.resolve(r.Context(), key, p.in, p.opt, true)
 	if err != nil {
 		writeResolveError(w, err)
 		return
@@ -494,7 +477,9 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request, p *solvePar
 			// it, it may still have a session from an earlier fallback solve.
 		}
 	}
-	body, key, status, err := s.resolveDelta(r.Context(), p)
+	body, key, status, err := s.singleflight(r.Context(), deltaFlightKey(p.base, p.delta), func() ([]byte, cache.Key, string, error) {
+		return s.solveDelta(r.Context(), p)
+	})
 	if err != nil {
 		if errors.Is(err, errNoSession) {
 			writeError(w, http.StatusNotFound,
@@ -512,44 +497,6 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request, p *solvePar
 		cacheStatus = status
 	}
 	s.writeSolveBody(w, r, key, cacheStatus, body)
-}
-
-// resolveDelta coalesces identical concurrent (base, delta) requests onto
-// one leader, which runs the partial re-solve through the base's warm
-// session. It returns the response body, the patched instance's full
-// fingerprint, and the incremental disposition: "partial", "warm" or
-// "cold" (how much the warm state helped), "hit" (the patched key was
-// already cached; those bytes win), or "coalesced".
-func (s *Server) resolveDelta(ctx context.Context, p *solveParsed) ([]byte, cache.Key, string, error) {
-	dk := deltaFlightKey(p.base, p.delta)
-	for {
-		f, lead := s.tryLead(dk)
-		if !lead {
-			select {
-			case <-f.done:
-				if f.err != nil {
-					if errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded) {
-						continue
-					}
-					return nil, cache.Key{}, "", f.err
-				}
-				s.coalesced.Add(1)
-				obsv.FromContext(ctx).Event("solve: coalesced onto in-flight delta leader")
-				return f.body, f.key, "coalesced", nil
-			case <-ctx.Done():
-				return nil, cache.Key{}, "", ctx.Err()
-			case <-s.shutdown:
-				return nil, cache.Key{}, "", errBusy
-			}
-		}
-		body, key, status, err := s.solveDelta(ctx, p)
-		f.key = key
-		s.settle(dk, f, body, err)
-		if err != nil {
-			return nil, cache.Key{}, "", err
-		}
-		return body, key, status, nil
-	}
 }
 
 // solveDelta runs one partial re-solve: look up the base's warm session,
@@ -608,13 +555,8 @@ func (s *Server) solveDelta(ctx context.Context, p *solveParsed) ([]byte, cache.
 		// reports the cache hit, not the re-solve class.
 		return body, key, "hit", nil
 	}
-	body, err := encodeSolveBody(hex.EncodeToString(key[:]), ss.sess.Instance(), res)
-	if err != nil {
-		return nil, cache.Key{}, "", err
-	}
-	s.storeResult(key, body)
-	s.enqueueReplicate(replReq{key: key, body: body})
-	return body, key, status, nil
+	body, err := s.publish(key, ss.sess.Instance(), res)
+	return body, key, status, err
 }
 
 // countIncr classifies a completed local solve by how much warm state it
@@ -762,64 +704,61 @@ func (s *Server) forwardSolve(w http.ResponseWriter, r *http.Request, key cache.
 	return true
 }
 
-// resolve returns the response body for an instance, consulting the cache,
-// coalescing concurrent identical requests onto one solver run, and solving
-// on a miss. It is the async job path's entry point, so solves through it
-// never park warm sessions — a large batch must not churn the session LRU
-// (see Config.SessionEntries). The second return is the cache disposition:
-// "hit", "miss" (this request ran the solver) or "coalesced" (another
-// in-flight request ran it).
-func (s *Server) resolve(ctx context.Context, key cache.Key, in core.Input, opt core.Options) ([]byte, string, error) {
-	if body, ok := s.cache.Get(key); ok {
-		return body, "hit", nil
-	}
-	return s.resolveMissWith(ctx, key, in, opt, false)
-}
-
-// resolveMiss is resolve after a recorded cache miss on the sync path: the
-// cluster solve path checks the cache itself (before routing) and must not
-// count the same lookup twice. Sync solves park a warm session.
-func (s *Server) resolveMiss(ctx context.Context, key cache.Key, in core.Input, opt core.Options) ([]byte, string, error) {
-	return s.resolveMissWith(ctx, key, in, opt, true)
-}
-
-func (s *Server) resolveMissWith(ctx context.Context, key cache.Key, in core.Input, opt core.Options, park bool) ([]byte, string, error) {
-	for {
-		f, lead := s.tryLead(key)
-		if !lead {
-			select {
-			case <-f.done:
-				if f.err != nil {
-					// The leader failed; don't inherit its error blindly —
-					// transient failures (cancellation) shouldn't poison
-					// followers. Retry the whole resolution.
-					if errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded) {
-						continue
-					}
-					return nil, "", f.err
-				}
-				s.coalesced.Add(1)
-				obsv.FromContext(ctx).Event("solve: coalesced onto in-flight leader")
-				return f.body, "coalesced", nil
-			case <-ctx.Done():
-				return nil, "", ctx.Err()
-			case <-s.shutdown:
-				return nil, "", errBusy
-			}
-		}
+// resolve answers a cache miss for key: concurrent requests for the key
+// coalesce onto one solver run, whichever path leads it. With park set (the
+// sync path) a leader solves through a parked warm session; the job path
+// leaves park unset, so a large batch never churns the session LRU (see
+// Config.SessionEntries). The second return is the cache disposition:
+// "miss" (this request ran the solver) or "coalesced" (another in-flight
+// request ran it).
+func (s *Server) resolve(ctx context.Context, key cache.Key, in core.Input, opt core.Options, park bool) ([]byte, string, error) {
+	body, _, status, err := s.singleflight(ctx, key, func() ([]byte, cache.Key, string, error) {
 		body, err := s.solveAndStore(ctx, key, in, opt, park)
-		s.settle(key, f, body, err)
-		if err != nil {
-			return nil, "", err
+		return body, key, "miss", err
+	})
+	return body, status, err
+}
+
+// singleflight is the one coalescing point of every local solve. It runs
+// lead as the leader of flight fk unless another request (sync, delta or
+// a batch job) already leads it; a follower waits and adopts the leader's
+// body and result key as "coalesced". A leader that failed on
+// cancellation says nothing about the follower's own request, so the
+// follower retries, leading itself if nobody else has; any other leader
+// error is the follower's too. A follower whose own context ends, or whose
+// server shuts down, stops waiting.
+func (s *Server) singleflight(ctx context.Context, fk cache.Key, lead func() ([]byte, cache.Key, string, error)) ([]byte, cache.Key, string, error) {
+	for {
+		f, leader := s.tryLead(fk)
+		if leader {
+			body, key, status, err := lead()
+			f.key = key
+			s.settle(fk, f, body, err)
+			return body, key, status, err
 		}
-		return body, "miss", nil
+		select {
+		case <-f.done:
+		case <-ctx.Done():
+			return nil, cache.Key{}, "", ctx.Err()
+		case <-s.shutdown:
+			return nil, cache.Key{}, "", errBusy
+		}
+		if f.err == nil {
+			s.coalesced.Add(1)
+			obsv.FromContext(ctx).Event("solve: coalesced onto in-flight leader")
+			return f.body, f.key, "coalesced", nil
+		}
+		if !errors.Is(f.err, context.Canceled) && !errors.Is(f.err, context.DeadlineExceeded) {
+			return nil, cache.Key{}, "", f.err
+		}
 	}
 }
 
 // tryLead returns the in-flight solve for key if one exists (lead=false:
 // the caller should follow it), or registers and returns a fresh flight the
 // caller must complete with settle (lead=true). It is the single point of
-// singleflight registration for both the sync and the job path.
+// flight registration: singleflight calls it, and so does a batch job
+// registering the keys it leads.
 func (s *Server) tryLead(key cache.Key) (f *flight, lead bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -842,13 +781,13 @@ func (s *Server) settle(key cache.Key, f *flight, body []byte, err error) {
 	close(f.done)
 }
 
-// solveAndStore runs the solver under admission control and caches the
-// encoded response body. With park set (the sync path), the solve runs
-// through a warm session — the compiled plan comes from (and feeds) the
-// shared plan cache, and the session is parked afterwards so delta
-// requests against this fingerprint re-solve incrementally; without it
-// (the async job path) the solve takes the plain pooled path and leaves no
-// per-instance state behind.
+// solveAndStore runs the solver under admission control and publishes the
+// response body. With park set (the sync path), the solve runs through a
+// warm session — the compiled plan comes from (and feeds) the shared plan
+// cache, and the session is parked afterwards so delta requests against
+// this fingerprint re-solve incrementally; without it (the async job path)
+// the solve takes the plain pooled path and leaves no per-instance state
+// behind.
 func (s *Server) solveAndStore(ctx context.Context, key cache.Key, in core.Input, opt core.Options, park bool) ([]byte, error) {
 	if err := s.acquire(ctx); err != nil {
 		return nil, err
@@ -879,6 +818,13 @@ func (s *Server) solveAndStore(ctx context.Context, key cache.Key, in core.Input
 		// so it is exactly the base instance the record must reproduce.
 		s.enqueuePersist(persistReq{key: key, in: in, opt: opt, ss: ss})
 	}
+	return s.publish(key, in, res)
+}
+
+// publish is the tail of every local solve — sync, delta and batch alike:
+// encode the canonical body, cache it, and queue it for the key's
+// ring-successors.
+func (s *Server) publish(key cache.Key, in core.Input, res *core.Result) ([]byte, error) {
 	body, err := encodeSolveBody(hex.EncodeToString(key[:]), in, res)
 	if err != nil {
 		return nil, err
@@ -1062,7 +1008,7 @@ func (s *Server) metricsExposition() string {
 		counter("store_sessions_restored_total", s.sessionsRestored.Load(), "sessions revived from the durable store")
 		counter("store_persist_errors_total", s.persistErrors.Load(), "session persists dropped or failed")
 		counter("store_restore_errors_total", s.restoreFails.Load(), "session restores refused (verification or rebuild failure)")
-		counter("store_corrupt_files_total", st.CorruptFiles, "store files quarantined after failing validation")
+		counter("store_corrupt_files_total", st.CorruptFiles+uint64(cs.Quarantined), "store files quarantined after failing validation")
 		counter("store_ingested_files_total", st.IngestedFiles, "store files accepted from peers")
 		counter("store_handoff_fetches_total", s.handoffFetches.Load(), "warm sessions pulled from a peer")
 		counter("store_handoff_served_total", s.handoffServed.Load(), "store files served to peers")

@@ -2,12 +2,15 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -228,6 +231,84 @@ func TestConcurrentIdenticalRequestsCoalesce(t *testing.T) {
 	}
 }
 
+// TestCoalescedFollowerRules pins the follower side of the one
+// singleflight: a sync request parked on a flight that another path leads
+// (registered here the way a batch job registers the keys it solves)
+// adopts a settled body, retries and leads when the leader was canceled,
+// and inherits any other leader error.
+func TestCoalescedFollowerRules(t *testing.T) {
+	req := SolveRequest{InstanceJSON: testInstance(1), Options: &OptionsJSON{Seed: 1}}
+	key := keyOf(t, req.InstanceJSON, req.Options)
+	_, ref := newTestServer(t, Config{Workers: 1})
+	cold := readBody(t, postJSON(t, ref.URL+"/v1/solve", req))
+	fake := []byte(`{"coalesced":true}`)
+	for _, tc := range []struct {
+		name   string
+		body   []byte
+		err    error
+		status int
+		cache  string // X-Linksynth-Cache of the follower's answer
+		want   []byte // the follower's body; nil skips the check
+		runs   int64  // solver runs on the follower's node
+	}{
+		{"body", fake, nil, http.StatusOK, "coalesced", fake, 0},
+		{"canceled leader", nil, fmt.Errorf("batch instance 0: %w", context.Canceled), http.StatusOK, "miss", cold, 1},
+		{"failed leader", nil, errors.New("core: batch instance 0: boom"), http.StatusUnprocessableEntity, "", nil, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{Workers: 1})
+			f, lead := s.tryLead(key)
+			if !lead {
+				t.Fatal("test could not claim the flight")
+			}
+			b, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var resp *http.Response
+			var postErr error
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				resp, postErr = http.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(b))
+			}()
+			waitFor(t, "the request to park on the flight", followerParked)
+			s.settle(key, f, tc.body, tc.err)
+			<-done
+			if postErr != nil {
+				t.Fatal(postErr)
+			}
+			got := readBody(t, resp)
+			if resp.StatusCode != tc.status {
+				t.Fatalf("status %d, want %d: %s", resp.StatusCode, tc.status, got)
+			}
+			if h := resp.Header.Get("X-Linksynth-Cache"); h != tc.cache {
+				t.Errorf("X-Linksynth-Cache = %q, want %q", h, tc.cache)
+			}
+			if tc.want != nil && !bytes.Equal(got, tc.want) {
+				t.Errorf("body = %s, want %s", got, tc.want)
+			}
+			if runs := metricValue(t, ts.URL, "solver_runs_total"); runs != tc.runs {
+				t.Errorf("solver_runs_total = %d, want %d", runs, tc.runs)
+			}
+		})
+	}
+}
+
+// followerParked reports whether some goroutine is blocked in a select
+// under singleflight. With no leader running through singleflight, that is
+// a follower waiting on its flight.
+func followerParked() bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if bytes.Contains(g, []byte(" [select")) && bytes.Contains(g, []byte(".(*Server).singleflight(")) {
+			return true
+		}
+	}
+	return false
+}
+
 func TestWarmCacheDirSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	req := SolveRequest{InstanceJSON: testInstance(2), Options: &OptionsJSON{Seed: 1}}
@@ -442,6 +523,28 @@ func TestBatchDeduplicatesIdenticalInstances(t *testing.T) {
 	}
 	if runs := metricValue(t, ts.URL, "solver_runs_total"); runs != 1 {
 		t.Errorf("solver runs = %d, want 1 for a batch of two identical instances", runs)
+	}
+}
+
+// Batch-solved instances are local solves like any other: each one is
+// classified in the incr_* counters, so the classes sum to the solver runs.
+func TestBatchSolvesCountIncrClasses(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	resp := postJSON(t, ts.URL+"/v1/batch", BatchRequest{
+		Instances: []InstanceJSON{testInstance(6), testInstance(7)},
+		Options:   &OptionsJSON{Seed: 1},
+	})
+	var js jobStatusJSON
+	if err := json.Unmarshal(readBody(t, resp), &js); err != nil {
+		t.Fatal(err)
+	}
+	waitJobDone(t, ts.URL, js.ID)
+	runs := metricValue(t, ts.URL, "solver_runs_total")
+	classes := metricValue(t, ts.URL, "incr_cold_solves_total") +
+		metricValue(t, ts.URL, "incr_warm_solves_total") +
+		metricValue(t, ts.URL, "incr_partial_solves_total")
+	if runs != 2 || classes != runs {
+		t.Errorf("solver_runs_total = %d and incr classes sum to %d, want 2 and 2", runs, classes)
 	}
 }
 

@@ -216,6 +216,9 @@ func TestRestartResolvesCorruptResultFile(t *testing.T) {
 			if _, err := os.Stat(paths[0] + ".corrupt"); err != nil {
 				t.Errorf("corrupt result file not quarantined: %v", err)
 			}
+			if got := metricValue(t, ts2.URL, "store_corrupt_files_total"); got != 1 {
+				t.Errorf("store_corrupt_files_total = %d, want 1 (the quarantined result file)", got)
+			}
 			resp := postJSON(t, ts2.URL+"/v1/solve", reqs[0])
 			body := readBody(t, resp)
 			if resp.StatusCode != http.StatusOK {

@@ -51,8 +51,9 @@ func parseResult(data []byte) (key [32]byte, body []byte, err error) {
 // nanoseconds); with coarser ones, files stamped within one unit load in
 // name order. Callers serialize the methods.
 type ResultDir struct {
-	dir     string
-	lastMod time.Time // modification time of the newest file
+	dir         string
+	lastMod     time.Time // modification time of the newest file
+	quarantined int       // files Open renamed aside
 }
 
 // OpenResultDir creates dir if needed and calls fn for every intact result
@@ -91,13 +92,18 @@ func OpenResultDir(dir string, fn func(key [32]byte, body []byte)) (*ResultDir, 
 		}
 		key, body, err := parseResult(data)
 		if err != nil || resultPath(dir, key) != path {
-			os.Rename(path, path+corruptExt)
+			quarantineFile(path)
+			r.quarantined++
 			continue
 		}
 		fn(key, body)
 	}
 	return r, nil
 }
+
+// Quarantined returns the number of result files OpenResultDir renamed
+// aside.
+func (r *ResultDir) Quarantined() int { return r.quarantined }
 
 // Write publishes body as the result file for key, atomically replacing
 // any earlier file for the key, and makes it the newest file. now is the

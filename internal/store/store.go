@@ -153,12 +153,16 @@ func (s *Store) PutRelation(rel *table.Relation) ([32]byte, error) {
 	return fp, nil
 }
 
-// quarantine renames a corrupt file aside so it is never parsed again, and
-// counts it. The data is kept for post-mortems rather than deleted.
+// quarantine renames a corrupt store file aside and counts it.
 func (s *Store) quarantine(path string) {
 	s.corruptFiles.Add(1)
-	os.Rename(path, path+corruptExt)
+	quarantineFile(path)
 }
+
+// quarantineFile renames a corrupt file aside with the .corrupt suffix so
+// it is never parsed again. The data is kept for post-mortems rather than
+// deleted.
+func quarantineFile(path string) { os.Rename(path, path+corruptExt) }
 
 // openMapped maps (or pagewise-reads) a whole file. Callers must close the
 // returned mapping.
@@ -383,20 +387,24 @@ type Stats struct {
 	IngestedFiles uint64
 }
 
+// dirUsage sums the regular files in dir named with ext: quarantined
+// .corrupt files, leftover temp files and foreign files count neither
+// their bytes nor themselves.
 func dirUsage(dir, ext string) (bytes int64, files int) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return 0, 0
 	}
 	for _, e := range ents {
+		if !strings.HasSuffix(e.Name(), ext) {
+			continue
+		}
 		info, err := e.Info()
 		if err != nil || !info.Mode().IsRegular() {
 			continue
 		}
 		bytes += info.Size()
-		if ext == "" || strings.HasSuffix(e.Name(), ext) {
-			files++
-		}
+		files++
 	}
 	return bytes, files
 }
@@ -416,6 +424,6 @@ func (s *Store) Stats() Stats {
 	}
 	st.SnapshotBytes, st.Snapshots = dirUsage(s.snapDir(), snapExt)
 	st.SessionBytes, st.Sessions = dirUsage(s.sessDir(), sessExt)
-	st.CacheBytes, _ = dirUsage(s.CacheDir(), "")
+	st.CacheBytes, _ = dirUsage(s.CacheDir(), resExt)
 	return st
 }

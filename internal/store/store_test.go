@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/census"
@@ -312,6 +313,29 @@ func TestOpenSweepsTempFiles(t *testing.T) {
 	}
 	if got, err := s2.LoadRelation(fp); err != nil || !relationsEqual(got, in.R1) {
 		t.Fatalf("published snapshot lost: %v", err)
+	}
+}
+
+// TestStatsCacheBytesCountResultFilesOnly: only .res files are result-cache
+// entries, so a quarantined result file, an older release's cache log and
+// a temp file under cache/ add nothing to CacheBytes.
+func TestStatsCacheBytesCountResultFilesOnly(t *testing.T) {
+	s := mustOpen(t, t.TempDir())
+	for _, f := range []struct {
+		name string
+		size int
+	}{
+		{strings.Repeat("ab", 32) + ".res", 100},
+		{strings.Repeat("cd", 32) + ".res.corrupt", 200},
+		{"cache.aol", 400},
+		{".tmp-123456", 800},
+	} {
+		if err := os.WriteFile(filepath.Join(s.CacheDir(), f.name), make([]byte, f.size), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.Stats().CacheBytes; got != 100 {
+		t.Errorf("CacheBytes = %d, want 100 (the .res file alone)", got)
 	}
 }
 

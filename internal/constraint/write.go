@@ -3,6 +3,7 @@ package constraint
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"repro/internal/table"
@@ -28,7 +29,8 @@ func RenderCC(cc CC) string {
 			b.WriteString(a.String())
 		}
 	}
-	fmt.Fprintf(&b, ") = %d", cc.Target)
+	b.WriteString(") = ")
+	b.WriteString(strconv.FormatInt(cc.Target, 10))
 	return b.String()
 }
 

@@ -1,11 +1,10 @@
 package core
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"io"
+	"hash"
 	"sort"
 
 	"repro/internal/constraint"
@@ -30,80 +29,112 @@ const fingerprintVersion = "linksynth-fp-v1"
 // need strict reproducibility should not cache under it.
 func Fingerprint(in Input, opt Options) ([32]byte, error) {
 	var key [32]byte
-	h := sha256.New()
-	// The encoding is thousands of tiny writes (a varint per cell); a
-	// buffer in front of the hash turns them into a few block updates,
-	// cutting the fingerprint cost of a large instance by an order of
-	// magnitude.
-	bw := bufio.NewWriterSize(h, 1<<12)
-	writeString(bw, fingerprintVersion)
-	writeString(bw, in.K1)
-	writeString(bw, in.K2)
-	writeString(bw, in.FK)
-	if err := writeRelation(bw, in.R1); err != nil {
+	w := newFPWriter()
+	w.string(fingerprintVersion)
+	w.string(in.K1)
+	w.string(in.K2)
+	w.string(in.FK)
+	if err := w.relation(in.R1); err != nil {
 		return key, fmt.Errorf("core: fingerprint R1: %w", err)
 	}
-	if err := writeRelation(bw, in.R2); err != nil {
+	if err := w.relation(in.R2); err != nil {
 		return key, fmt.Errorf("core: fingerprint R2: %w", err)
 	}
-	writeString(bw, constraint.CanonicalConstraints(in.CCs, in.DCs))
-
-	writeOptions(bw, opt)
-	if err := bw.Flush(); err != nil {
-		return key, err
-	}
-
-	h.Sum(key[:0])
-	return key, nil
+	w.string(constraint.CanonicalConstraints(in.CCs, in.DCs))
+	w.options(opt)
+	return w.sum(), nil
 }
 
-// writeRelation encodes name, schema and rows. Strings are length-prefixed
-// and values carry a kind tag, so no two distinct relations share an
-// encoding.
-func writeRelation(w io.Writer, r *table.Relation) error {
+// fpBlock is how many encoded bytes fpWriter gathers before hashing them.
+const fpBlock = 1 << 12
+
+// fpWriter builds a canonical encoding in an append buffer and hashes it a
+// block at a time. The encoding is thousands of tiny fields (a varint per
+// cell), and an append per field, with no interface call, keeps a large
+// instance's fingerprint free of per-cell allocations.
+type fpWriter struct {
+	h   hash.Hash
+	buf []byte
+}
+
+// newFPWriter sizes the buffer for a block plus the field or row that
+// crosses into the next one; a longer one grows it.
+func newFPWriter() *fpWriter {
+	return &fpWriter{h: sha256.New(), buf: make([]byte, 0, 2*fpBlock)}
+}
+
+// flushFull hashes the buffer once it holds a full block.
+func (w *fpWriter) flushFull() {
+	if len(w.buf) >= fpBlock {
+		w.h.Write(w.buf)
+		w.buf = w.buf[:0]
+	}
+}
+
+func (w *fpWriter) uint(v uint64) {
+	w.buf = binary.AppendUvarint(w.buf, v)
+	w.flushFull()
+}
+
+func (w *fpWriter) bool(b bool) {
+	if b {
+		w.uint(1)
+	} else {
+		w.uint(0)
+	}
+}
+
+// string writes s length-prefixed.
+func (w *fpWriter) string(s string) {
+	w.uint(uint64(len(s)))
+	w.buf = append(w.buf, s...)
+	w.flushFull()
+}
+
+func (w *fpWriter) sum() [32]byte {
+	var key [32]byte
+	w.h.Write(w.buf)
+	w.buf = w.buf[:0]
+	w.h.Sum(key[:0])
+	return key
+}
+
+// relation encodes name, schema and rows. Strings are length-prefixed and
+// values carry a kind tag, so no two distinct relations share an encoding.
+func (w *fpWriter) relation(r *table.Relation) error {
 	if r == nil {
 		return fmt.Errorf("nil relation")
 	}
-	writeString(w, r.Name)
+	w.string(r.Name)
 	s := r.Schema()
-	writeUint(w, uint64(s.Len()))
+	w.uint(uint64(s.Len()))
 	for j := 0; j < s.Len(); j++ {
 		c := s.Col(j)
-		writeString(w, c.Name)
-		writeUint(w, uint64(c.Type))
+		w.string(c.Name)
+		w.uint(uint64(c.Type))
 	}
-	writeUint(w, uint64(r.Len()))
+	w.uint(uint64(r.Len()))
+	// The rows are most of the encoding: append them through a local
+	// buffer, checking for a full block once per row.
+	buf := w.buf
 	for i := 0; i < r.Len(); i++ {
 		for _, v := range r.Row(i) {
-			writeUint(w, uint64(v.Kind()))
+			buf = binary.AppendUvarint(buf, uint64(v.Kind()))
 			switch v.Kind() {
 			case table.KindInt:
-				writeUint(w, uint64(v.Int()))
+				buf = binary.AppendUvarint(buf, uint64(v.Int()))
 			case table.KindString:
-				writeString(w, v.Str())
+				buf = binary.AppendUvarint(buf, uint64(len(v.Str())))
+				buf = append(buf, v.Str()...)
 			}
 		}
+		if len(buf) >= fpBlock {
+			w.h.Write(buf)
+			buf = buf[:0]
+		}
 	}
+	w.buf = buf
 	return nil
-}
-
-func writeString(w io.Writer, s string) {
-	writeUint(w, uint64(len(s)))
-	io.WriteString(w, s)
-}
-
-func writeUint(w io.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	w.Write(buf[:n])
-}
-
-func writeBool(w io.Writer, b bool) {
-	if b {
-		writeUint(w, 1)
-	} else {
-		writeUint(w, 0)
-	}
 }
 
 // structuralVersion tags the canonical structural encoding; bump it whenever
@@ -131,18 +162,18 @@ func StructuralFingerprint(in Input, opt Options) ([32]byte, error) {
 	if in.R1 == nil || in.R2 == nil {
 		return key, fmt.Errorf("core: structural fingerprint: nil relation")
 	}
-	h := sha256.New()
-	writeString(h, structuralVersion)
-	writeString(h, in.K1)
-	writeString(h, in.K2)
-	writeString(h, in.FK)
-	writeSchemaSet(h, in.R1.Schema())
-	writeSchemaSet(h, in.R2.Schema())
+	w := newFPWriter()
+	w.string(structuralVersion)
+	w.string(in.K1)
+	w.string(in.K2)
+	w.string(in.FK)
+	w.schemaSet(in.R1.Schema())
+	w.schemaSet(in.R2.Schema())
 
 	ccs := canonicalCCRenders(in.CCs)
-	writeUint(h, uint64(len(ccs)))
+	w.uint(uint64(len(ccs)))
 	for _, s := range ccs {
-		writeString(h, s)
+		w.string(s)
 	}
 	dcs := make([]string, len(in.DCs))
 	for i, dc := range in.DCs {
@@ -150,45 +181,43 @@ func StructuralFingerprint(in Input, opt Options) ([32]byte, error) {
 		dcs[i] = constraint.RenderDC(dc)
 	}
 	sort.Strings(dcs)
-	writeUint(h, uint64(len(dcs)))
+	w.uint(uint64(len(dcs)))
 	for _, s := range dcs {
-		writeString(h, s)
+		w.string(s)
 	}
 
-	writeOptions(h, opt)
-
-	h.Sum(key[:0])
-	return key, nil
+	w.options(opt)
+	return w.sum(), nil
 }
 
-// writeOptions hashes every output-relevant Options field — shared by
+// options hashes every output-relevant Options field — shared by
 // Fingerprint and StructuralFingerprint so the two keys can never drift in
 // option sensitivity. Workers is deliberately absent (the pool size never
 // changes the output).
-func writeOptions(w io.Writer, opt Options) {
-	writeUint(w, uint64(opt.Mode))
-	writeBool(w, opt.NoMarginals)
-	writeBool(w, opt.RandomFK)
-	writeBool(w, opt.NoPartition)
-	writeUint(w, uint64(opt.Order))
-	writeUint(w, uint64(opt.Seed))
-	writeUint(w, uint64(opt.ILP.MaxNodes))
-	writeUint(w, uint64(opt.ILP.MaxIters))
-	writeUint(w, uint64(opt.ILP.TimeLimit))
+func (w *fpWriter) options(opt Options) {
+	w.uint(uint64(opt.Mode))
+	w.bool(opt.NoMarginals)
+	w.bool(opt.RandomFK)
+	w.bool(opt.NoPartition)
+	w.uint(uint64(opt.Order))
+	w.uint(uint64(opt.Seed))
+	w.uint(uint64(opt.ILP.MaxNodes))
+	w.uint(uint64(opt.ILP.MaxIters))
+	w.uint(uint64(opt.ILP.TimeLimit))
 }
 
-// writeSchemaSet hashes a schema as an order-independent set of
-// (name, type) pairs.
-func writeSchemaSet(w io.Writer, s *table.Schema) {
+// schemaSet hashes a schema as an order-independent set of (name, type)
+// pairs.
+func (w *fpWriter) schemaSet(s *table.Schema) {
 	cols := make([]string, s.Len())
 	for j := 0; j < s.Len(); j++ {
 		c := s.Col(j)
 		cols[j] = fmt.Sprintf("%s\x00%d", c.Name, c.Type)
 	}
 	sort.Strings(cols)
-	writeUint(w, uint64(len(cols)))
+	w.uint(uint64(len(cols)))
 	for _, c := range cols {
-		writeString(w, c)
+		w.string(c)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/census"
 	"repro/internal/constraint"
 	"repro/internal/table"
 )
@@ -264,5 +265,20 @@ func TestPlanRemapMatchesDirectClassification(t *testing.T) {
 	}
 	if !withPlan.Stats.PlanReused {
 		t.Errorf("plan was not reused despite matching key")
+	}
+}
+
+// BenchmarkFingerprint keys a census instance of the serving benchmark's
+// size: about 3,000 persons, 1,000 households and 150 CCs.
+func BenchmarkFingerprint(b *testing.B) {
+	d := census.Generate(census.Config{Households: 1000, Areas: 6, Seed: 901})
+	in := Input{R1: d.Persons, R2: d.Housing, K1: "pid", K2: "hid", FK: "hid",
+		CCs: d.BadCCs(150), DCs: census.AllDCs()}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Fingerprint(in, Options{Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -40,9 +40,9 @@ func newProb(in Input, opt Options, stat *Stats) (*prob, error) {
 			p.isR2Col[col] = true
 		}
 	}
-	// Reject ambiguous schemas: a B column shadowing an R1 column would make
-	// CC predicates ambiguous on the join view.
-	for _, col := range p.aCols {
+	// Reject ambiguous schemas: a B column shadowing K1 or an A column would
+	// make CC predicates ambiguous on the join view, which holds all three.
+	for _, col := range append([]string{in.K1}, p.aCols...) {
 		if p.isR2Col[col] {
 			return nil, fmt.Errorf("core: column %q appears in both relations", col)
 		}

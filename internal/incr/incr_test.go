@@ -410,3 +410,41 @@ func TestAdoptPlan(t *testing.T) {
 		t.Fatal("solve with adopted plan not classified as plan reuse")
 	}
 }
+
+// TestPatchedFingerprintKnownAnswers pins the keys a session computes for
+// the three delta shapes — a target-only delta, an edit delta and an
+// append delta — so a change to how a patched instance is fingerprinted
+// shows up as a failed test, not as a delta that stops hitting the cache
+// for its equivalent full instance.
+func TestPatchedFingerprintKnownAnswers(t *testing.T) {
+	base := censusInstance(30, 10, 23)
+	s, err := NewEngine(4).Open(base, core.Options{Seed: 4}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		d    Delta
+		want string
+	}{
+		{"targets", Delta{CCTargets: map[int]int64{0: 3, 4: 0}},
+			"2f05b0271f4160a3146ac917df5c9e4125cd732fb4d55518820aa1c287617257"},
+		{"edits", Delta{R1Edits: []CellEdit{
+			{Row: 2, Col: "Age", Val: table.Int(-5)},
+			{Row: 0, Col: "Rel", Val: table.String("Ch\"ild ")},
+			{Row: 2, Col: "Age", Val: table.Null()},
+		}}, "9e4fe5319dd8ee4b5661907992fca822a8bad1dfa18085b8e92a9e098ebeaf18"},
+		{"appends", Delta{R1Appends: [][]table.Value{
+			{table.Int(900001), table.String("Member"), table.Int(33), table.Int(1), table.Null()},
+			{table.Int(900002), table.String(""), table.Null(), table.Int(0), table.Null()},
+		}}, "637d1662e864106f9f71643f07ab60c5d2b63888b0371f8c43ea4b668e0c1654"},
+	} {
+		k, err := s.PatchedFingerprint(tc.d)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := fmt.Sprintf("%x", k); got != tc.want {
+			t.Errorf("%s: PatchedFingerprint = %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}

@@ -51,35 +51,10 @@ type jobStatusJSON struct {
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
-	var req BatchRequest
-	dec := json.NewDecoder(r.Body)
-	dec.UseNumber()
-	if err := dec.Decode(&req); err != nil {
-		writeRequestError(w, decodeErr(err))
-		return
-	}
-	if len(req.Instances) == 0 {
-		writeError(w, http.StatusBadRequest, "batch request has no instances")
-		return
-	}
-	opt, err := req.Options.toOptions()
+	req, instances, opt, err := parseBatchRequest(r)
 	if err != nil {
 		writeRequestError(w, err)
 		return
-	}
-	instances := make([]jobInstance, len(req.Instances))
-	for i := range req.Instances {
-		in, err := req.Instances[i].toInput()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "instance %d: %v", i, err)
-			return
-		}
-		key, err := core.Fingerprint(in, opt)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "instance %d: fingerprint: %v", i, err)
-			return
-		}
-		instances[i] = jobInstance{in: in, key: key}
 	}
 
 	// In a cluster, a batch that is not already a forwarded sub-batch is
@@ -145,7 +120,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.mu.Unlock()
 		s.jobsAccepted.Add(1)
 		s.scatterJobs.Add(1)
-		go s.runGatherJob(j, &req, groups)
+		go s.runGatherJob(j, req, groups)
 		writeJSON(w, http.StatusAccepted, jobStatusJSON{ID: j.id, Status: jobQueued, Instances: len(instances)})
 		return
 	}
@@ -326,7 +301,7 @@ func (s *Server) finishJob(j *job, results []json.RawMessage) {
 // completes with correct results as long as this node survives; results
 // are content-addressed, so a re-solve is byte-identical to what the lost
 // peer would have returned.
-func (s *Server) runGatherJob(j *job, req *BatchRequest, groups []cluster.Group) {
+func (s *Server) runGatherJob(j *job, req *wireBatchRequest, groups []cluster.Group) {
 	defer func() { <-s.gatherSem }()
 	s.mu.Lock()
 	if j.status != jobQueued { // canceled before coordination began
@@ -366,13 +341,19 @@ func (s *Server) runGatherJob(j *job, req *BatchRequest, groups []cluster.Group)
 	s.finishJob(j, results)
 }
 
-// gatherRemote runs one remote group end to end: re-marshal the group's
+// gatherRemote runs one remote group end to end: re-encode the group's
 // instances as a sub-batch, submit it to the owner with the hop guard, poll
 // the sub-job to completion, and place its results into the parent's slots.
-func (s *Server) gatherRemote(j *job, req *BatchRequest, g cluster.Group, results []json.RawMessage) error {
+// The relations are re-encoded from their decoded form, and the constraint
+// text is passed on as the client sent it, so the owner fingerprints every
+// instance to the key this node computed.
+func (s *Server) gatherRemote(j *job, req *wireBatchRequest, g cluster.Group, results []json.RawMessage) error {
 	sub := BatchRequest{Instances: make([]InstanceJSON, len(g.Indices)), Options: req.Options}
 	for bi, i := range g.Indices {
-		sub.Instances[bi] = req.Instances[i]
+		in := j.instances[i].in
+		r1, r2 := encodeRelation(in.R1), encodeRelation(in.R2)
+		sub.Instances[bi] = InstanceJSON{R1: &r1, R2: &r2, K1: in.K1, K2: in.K2, FK: in.FK,
+			Constraints: req.Instances[i].Constraints}
 	}
 	body, err := json.Marshal(sub)
 	if err != nil {

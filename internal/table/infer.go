@@ -48,7 +48,11 @@ func ReadCSVInferred(rd io.Reader, name string) (*Relation, error) {
 		}
 		cols[j] = Column{Name: strings.TrimSpace(h), Type: t}
 	}
-	out := NewRelation(name, NewSchema(cols...))
+	schema, err := MakeSchema(cols...)
+	if err != nil {
+		return nil, err
+	}
+	out := NewRelation(name, schema)
 	for _, rec := range records {
 		row := make([]Value, len(rec))
 		for j, f := range rec {

@@ -71,7 +71,7 @@ type Atom struct {
 }
 
 func (a Atom) String() string {
-	return fmt.Sprintf("%s %s %s", a.Col, a.Op, quoteValue(a.Val))
+	return a.Col + " " + a.Op.String() + " " + quoteValue(a.Val)
 }
 
 // Predicate is a conjunction of atoms. The zero Predicate is the always-true

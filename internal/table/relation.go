@@ -29,6 +29,32 @@ func (r *Relation) Len() int { return len(r.rows) }
 // Append adds a row after validating its arity and column types (null is
 // allowed in any column).
 func (r *Relation) Append(row ...Value) error {
+	if err := r.check(row); err != nil {
+		return err
+	}
+	r.rows = append(r.rows, append([]Value(nil), row...))
+	return nil
+}
+
+// AppendRows adds rows after checking each as Append does, and adopts
+// them: the relation keeps the slices themselves rather than copies, so
+// the caller must not modify them afterwards. On a bad row it adds none
+// and reports the row's index with Append's error.
+func (r *Relation) AppendRows(rows [][]Value) error {
+	for i, row := range rows {
+		if err := r.check(row); err != nil {
+			return fmt.Errorf("row %d: %w", i, err)
+		}
+	}
+	if len(r.rows) == 0 {
+		r.rows = rows
+	} else {
+		r.rows = append(r.rows, rows...)
+	}
+	return nil
+}
+
+func (r *Relation) check(row []Value) error {
 	if len(row) != r.schema.Len() {
 		return fmt.Errorf("table: %s: append: got %d values, schema has %d columns", r.Name, len(row), r.schema.Len())
 	}
@@ -41,7 +67,6 @@ func (r *Relation) Append(row ...Value) error {
 			return fmt.Errorf("table: %s: append: column %q wants %v, got %v", r.Name, r.schema.Col(i).Name, want, v.Kind())
 		}
 	}
-	r.rows = append(r.rows, append([]Value(nil), row...))
 	return nil
 }
 

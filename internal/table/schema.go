@@ -41,15 +41,26 @@ type Schema struct {
 	index map[string]int
 }
 
-// NewSchema builds a schema from cols. It panics on duplicate column names,
-// which always indicates a programming error.
-func NewSchema(cols ...Column) *Schema {
+// MakeSchema builds a schema from cols, or reports a column name that
+// appears twice. Schemas read from input are built with it.
+func MakeSchema(cols ...Column) (*Schema, error) {
 	s := &Schema{cols: append([]Column(nil), cols...), index: make(map[string]int, len(cols))}
 	for i, c := range s.cols {
 		if _, dup := s.index[c.Name]; dup {
-			panic(fmt.Sprintf("table: duplicate column %q", c.Name))
+			return nil, fmt.Errorf("table: duplicate column %q", c.Name)
 		}
 		s.index[c.Name] = i
+	}
+	return s, nil
+}
+
+// NewSchema is MakeSchema for schemas the code itself defines. It panics on
+// a duplicate column name, which there always indicates a programming
+// error.
+func NewSchema(cols ...Column) *Schema {
+	s, err := MakeSchema(cols...)
+	if err != nil {
+		panic(err.Error())
 	}
 	return s
 }

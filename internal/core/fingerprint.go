@@ -2,6 +2,7 @@ package core
 
 import (
 	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
 	"fmt"
 	"hash"
@@ -28,21 +29,71 @@ const fingerprintVersion = "linksynth-fp-v1"
 // solver's determinism promise; it is part of the key, but callers that
 // need strict reproducibility should not cache under it.
 func Fingerprint(in Input, opt Options) ([32]byte, error) {
-	var key [32]byte
 	w := newFPWriter()
+	if err := w.data(in); err != nil {
+		return [32]byte{}, err
+	}
+	w.tail(in.CCs, in.DCs, opt)
+	return w.sum(), nil
+}
+
+// FingerprintCheckpoint is Fingerprint's hash state after an instance's
+// data part: the encoding version, K1, K2, FK, R1 and R2. Resume hashes
+// only the rest, the constraints and options, so a caller holding the
+// checkpoint of an instance keys any re-targeting of its constraints
+// without rehashing the relations. The zero value is not a checkpoint.
+type FingerprintCheckpoint struct {
+	state []byte // the SHA-256 digest's marshaled state
+}
+
+// NewFingerprintCheckpoint hashes the data part of in and saves the state.
+// in.CCs and in.DCs are not read.
+func NewFingerprintCheckpoint(in Input) (FingerprintCheckpoint, error) {
+	w := newFPWriter()
+	if err := w.data(in); err != nil {
+		return FingerprintCheckpoint{}, err
+	}
+	w.h.Write(w.buf) // the saved state must hold the bytes still buffered
+	state, err := w.h.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil {
+		return FingerprintCheckpoint{}, fmt.Errorf("core: fingerprint checkpoint: %w", err)
+	}
+	return FingerprintCheckpoint{state: state}, nil
+}
+
+// Resume returns Fingerprint of the checkpointed instance with its
+// constraint sets replaced by ccs and dcs, under opt: the same key as
+// Fingerprint of that instance, computed from the checkpoint.
+func (c FingerprintCheckpoint) Resume(ccs []constraint.CC, dcs []constraint.DC, opt Options) ([32]byte, error) {
+	w := newFPWriter()
+	if err := w.h.(encoding.BinaryUnmarshaler).UnmarshalBinary(c.state); err != nil {
+		return [32]byte{}, fmt.Errorf("core: resume fingerprint: %w", err)
+	}
+	w.tail(ccs, dcs, opt)
+	return w.sum(), nil
+}
+
+// data writes Fingerprint's data part: the version, the key columns and
+// both relations.
+func (w *fpWriter) data(in Input) error {
 	w.string(fingerprintVersion)
 	w.string(in.K1)
 	w.string(in.K2)
 	w.string(in.FK)
 	if err := w.relation(in.R1); err != nil {
-		return key, fmt.Errorf("core: fingerprint R1: %w", err)
+		return fmt.Errorf("core: fingerprint R1: %w", err)
 	}
 	if err := w.relation(in.R2); err != nil {
-		return key, fmt.Errorf("core: fingerprint R2: %w", err)
+		return fmt.Errorf("core: fingerprint R2: %w", err)
 	}
-	w.string(constraint.CanonicalConstraints(in.CCs, in.DCs))
+	return nil
+}
+
+// tail writes Fingerprint's tail: the canonical constraint sets and the
+// options.
+func (w *fpWriter) tail(ccs []constraint.CC, dcs []constraint.DC, opt Options) {
+	w.string(constraint.CanonicalConstraints(ccs, dcs))
 	w.options(opt)
-	return w.sum(), nil
 }
 
 // fpBlock is how many encoded bytes fpWriter gathers before hashing them.

@@ -107,6 +107,56 @@ func TestFingerprintNilRelation(t *testing.T) {
 	}
 }
 
+// TestFingerprintCheckpointResume: resuming an instance's checkpoint with
+// its own constraints, with re-targeted ones, or under other options gives
+// the key Fingerprint gives the same instance.
+func TestFingerprintCheckpointResume(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		in   Input
+	}{{"paper", paperInput(t)}, {"census", katCensus()}, {"escapes", katEscapes()}} {
+		cp, err := NewFingerprintCheckpoint(tc.in)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		retarget := tc.in
+		retarget.CCs = append([]constraint.CC(nil), tc.in.CCs...)
+		retarget.CCs[0].Target += 3
+		noDCs := tc.in
+		noDCs.DCs = nil
+		for _, v := range []struct {
+			name string
+			in   Input
+			opt  Options
+		}{
+			{"base", tc.in, Options{Seed: 1}},
+			{"all options", tc.in, katAllOptions},
+			{"re-targeted", retarget, Options{Seed: 1}},
+			{"no DCs", noDCs, Options{Seed: 2}},
+		} {
+			want, err := Fingerprint(v.in, v.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := cp.Resume(v.in.CCs, v.in.DCs, v.opt)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", tc.name, v.name, err)
+			}
+			if got != want {
+				t.Errorf("%s/%s: Resume = %x, Fingerprint = %x", tc.name, v.name, got, want)
+			}
+		}
+	}
+	if _, err := (FingerprintCheckpoint{}).Resume(nil, nil, Options{}); err == nil {
+		t.Error("the zero checkpoint resumed")
+	}
+	in := fpInstance()
+	in.R1 = nil
+	if _, err := NewFingerprintCheckpoint(in); err == nil {
+		t.Error("want error for nil relation")
+	}
+}
+
 // sfpInstance builds a richer instance for structural-fingerprint
 // property tests: several CCs and DCs over a census-shaped schema.
 func sfpInstance(nCC int, _ int64) Input {

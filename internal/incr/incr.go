@@ -57,6 +57,10 @@ func (d Delta) IsZero() bool {
 	return len(d.CCTargets) == 0 && len(d.R1Edits) == 0 && len(d.R1Appends) == 0
 }
 
+// keepsRows reports whether the delta leaves R1's rows as the base's: it
+// changes at most CC targets.
+func (d Delta) keepsRows() bool { return len(d.R1Edits) == 0 && len(d.R1Appends) == 0 }
+
 // Engine owns the structural plan cache shared by its sessions. One engine
 // per process (or per server) is the intended shape; the zero value is not
 // usable, construct with NewEngine.
@@ -143,6 +147,7 @@ type Session struct {
 	plan       *core.Plan
 	planCached bool // the plan came from the cache, not compiled here
 	baseFP     [32]byte
+	baseData   *core.FingerprintCheckpoint // the base's fingerprint after its relations; built on first use
 	sfp        [32]byte
 	solved     bool
 }
@@ -267,10 +272,13 @@ func (e *Engine) AdoptPlan(pl *core.Plan) {
 
 // PatchedFingerprint computes the full content fingerprint of the base
 // instance patched by d — the cache key Resolve(d) would return — WITHOUT
-// solving and without touching the session's mutable state. The serving
-// layer uses it to answer a delta from the result cache with zero solver
-// work. It costs one R1 clone; the session's working copy, overlay, and
-// warm state are untouched.
+// solving. The serving layer uses it to answer a delta from the result
+// cache with zero solver work. The session's working copy, overlay and
+// warm state are untouched, but the call may fill the session's
+// fingerprint checkpoint, so it must be serialized with the session's
+// other calls. A delta that only re-targets CCs resumes from that
+// checkpoint and hashes just the constraints and options; one that edits
+// or appends R1 costs one R1 clone and a full fingerprint.
 func (s *Session) PatchedFingerprint(d Delta) ([32]byte, error) {
 	if err := s.validate(d); err != nil {
 		return [32]byte{}, err
@@ -278,9 +286,52 @@ func (s *Session) PatchedFingerprint(d Delta) ([32]byte, error) {
 	if d.IsZero() {
 		return s.baseFP, nil
 	}
-	// Reconstruct the pristine base from the working copy: undo the overlay,
-	// withdraw appended rows, restore patched targets — all on clones.
+	// The base's CCs with d's targets applied.
+	ccs := append([]constraint.CC(nil), s.work.CCs...)
+	for i := range ccs {
+		ccs[i].Target = s.baseTargets[i]
+	}
+	//lint:ordered distinct CC indices write distinct slots; validate already rejected bad indices
+	for i, t := range d.CCTargets {
+		ccs[i].Target = t
+	}
+	if d.keepsRows() {
+		return s.resumeFingerprint(ccs)
+	}
 	in := s.work
+	in.R1 = s.baseR1Clone()
+	for _, ed := range d.R1Edits {
+		in.R1.Set(ed.Row, ed.Col, ed.Val)
+	}
+	for _, row := range d.R1Appends {
+		in.R1.MustAppend(row...)
+	}
+	in.CCs = ccs
+	return core.Fingerprint(in, s.opt)
+}
+
+// resumeFingerprint returns the fingerprint of the base instance with its
+// CCs replaced by ccs, from the checkpoint of the base's data part. The
+// checkpoint is built on first use, from the working copy when it carries
+// no row change, else from a clone rebuilt to the base.
+func (s *Session) resumeFingerprint(ccs []constraint.CC) ([32]byte, error) {
+	if s.baseData == nil {
+		in := s.work
+		if len(s.overlay) > 0 || in.R1.Len() > s.baseLen {
+			in.R1 = s.baseR1Clone()
+		}
+		cp, err := core.NewFingerprintCheckpoint(in)
+		if err != nil {
+			return [32]byte{}, err
+		}
+		s.baseData = &cp
+	}
+	return s.baseData.Resume(ccs, s.work.DCs, s.opt)
+}
+
+// baseR1Clone returns a copy of the base instance's R1, rebuilt from the
+// working copy: the overlay undone and the appended rows withdrawn.
+func (s *Session) baseR1Clone() *table.Relation {
 	r1 := s.work.R1.Clone()
 	//lint:ordered each overlay entry restores a distinct cell of the clone
 	for cell, v := range s.overlay {
@@ -289,24 +340,7 @@ func (s *Session) PatchedFingerprint(d Delta) ([32]byte, error) {
 	if r1.Len() > s.baseLen {
 		r1.Truncate(s.baseLen)
 	}
-	ccs := append([]constraint.CC(nil), s.work.CCs...)
-	for i := range ccs {
-		ccs[i].Target = s.baseTargets[i]
-	}
-	// Apply d to the reconstruction.
-	//lint:ordered distinct CC indices write distinct slots; validate already rejected bad indices
-	for i, t := range d.CCTargets {
-		ccs[i].Target = t
-	}
-	for _, ed := range d.R1Edits {
-		r1.Set(ed.Row, ed.Col, ed.Val)
-	}
-	for _, row := range d.R1Appends {
-		r1.MustAppend(row...)
-	}
-	in.R1 = r1
-	in.CCs = ccs
-	return core.Fingerprint(in, s.opt)
+	return r1
 }
 
 // validate rejects deltas that do not type-check against the base instance.
@@ -409,11 +443,16 @@ func (s *Session) resolve(ctx context.Context, d Delta) (*core.Result, [32]byte,
 	}
 	s.solved = true
 	key := s.baseFP
-	if !d.IsZero() {
+	switch {
+	case d.IsZero():
+	case d.keepsRows():
+		// The rebase left R1 as the base's, so only the targets differ.
+		key, err = s.resumeFingerprint(s.work.CCs)
+	default:
 		key, err = core.Fingerprint(s.work, s.opt)
-		if err != nil {
-			return nil, [32]byte{}, err
-		}
+	}
+	if err != nil {
+		return nil, [32]byte{}, err
 	}
 	return res, key, nil
 }

@@ -363,6 +363,66 @@ func TestPatchedFingerprint(t *testing.T) {
 	}
 }
 
+// TestPatchedFingerprintSequence chases one session through a fixed order
+// of deltas so that target-only deltas, which key from the session's
+// fingerprint checkpoint, follow deltas that changed R1: the checkpoint is
+// first needed while the working copy carries an edit, and needed again
+// while it carries appended rows. Every step's key must agree across
+// PatchedFingerprint, Resolve and a cold fingerprint of the patched
+// instance. The session either asks PatchedFingerprint first, as the
+// serving layer does, or resolves first, so that either call can be the
+// one that builds the checkpoint.
+func TestPatchedFingerprintSequence(t *testing.T) {
+	base := censusInstance(40, 12, 7)
+	opt := core.Options{Seed: 5}
+	steps := []struct {
+		name string
+		d    Delta
+	}{
+		{"edit", Delta{R1Edits: []CellEdit{{Row: 3, Col: "Age", Val: table.Int(61)}, {Row: 0, Col: "Rel", Val: table.String("Child")}}}},
+		{"targets after edit", Delta{CCTargets: map[int]int64{1: base.CCs[1].Target + 2}}},
+		{"append", Delta{R1Appends: [][]table.Value{
+			{table.Int(700001), table.String("Member"), table.Int(41), table.Int(1), table.Null()},
+		}}},
+		{"targets after append", Delta{CCTargets: map[int]int64{0: base.CCs[0].Target + 1, 2: 0}}},
+		{"zero", Delta{}},
+	}
+	for _, patchedFirst := range []bool{true, false} {
+		s, err := NewEngine(8).Open(base, opt, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Solve(); err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range steps {
+			name := fmt.Sprintf("%s (patched first %v)", st.name, patchedFirst)
+			var pre, key [32]byte
+			patched := func() {
+				if pre, err = s.PatchedFingerprint(st.d); err != nil {
+					t.Fatalf("%s: patched fingerprint: %v", name, err)
+				}
+			}
+			if patchedFirst {
+				patched()
+			}
+			if _, key, err = s.Resolve(st.d); err != nil {
+				t.Fatalf("%s: resolve: %v", name, err)
+			}
+			if !patchedFirst {
+				patched()
+			}
+			want, err := core.Fingerprint(applyDeltaCold(t, base, st.d), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pre != want || key != want {
+				t.Fatalf("%s: PatchedFingerprint %x, Resolve key %x, cold fingerprint %x", name, pre, key, want)
+			}
+		}
+	}
+}
+
 // TestAdoptPlan: a plan decoded from its binary form and adopted into a
 // fresh engine must serve the first solve as a cache hit (warm
 // classification), matching the original solve byte for byte.

@@ -17,7 +17,6 @@ import (
 	"repro/internal/constraint"
 	"repro/internal/core"
 	"repro/internal/incr"
-	"repro/internal/metrics"
 	"repro/internal/table"
 )
 
@@ -269,35 +268,6 @@ func assembleInput(r1, r2 *table.Relation, k1, k2, fk, consDSL string) (core.Inp
 		in.CCs, in.DCs = ccs, dcs
 	}
 	return in, nil
-}
-
-// encodeSolveBody renders the canonical response body for a solved
-// instance. The same instance always produces the same bytes, which is what
-// the cache stores and what makes hits byte-identical to cold solves.
-func encodeSolveBody(keyHex string, in core.Input, res *core.Result) ([]byte, error) {
-	// The body is stored in the content-addressed cache under a key that
-	// promises byte-identical responses — a cluster gather fallback
-	// re-solves a lost peer's group expecting to reproduce its bytes
-	// exactly, and warm and cold solves of one key must agree. Wall-clock
-	// timings and warm-state reuse flags vary run to run and node to node,
-	// so they are canonicalized to zero before encoding; the deterministic
-	// counters (partitions, ILP nodes, added tuples, ...) stay.
-	st := res.Stats
-	st.Pairwise, st.Recursion, st.ILPTime, st.Coloring = 0, 0, 0, 0
-	st.Phase1, st.Phase2, st.Total = 0, 0, 0
-	st.PlanReused, st.ProbReused, st.SplicedPartitions = false, false, 0
-	body := SolveResponse{
-		Key: keyHex,
-		Result: ResultJSON{
-			R1Hat:    encodeRelation(res.R1Hat),
-			R2Hat:    encodeRelation(res.R2Hat),
-			VJoin:    encodeRelation(res.VJoin),
-			Stats:    st,
-			CCErrors: metrics.CCErrors(res.VJoin, in.CCs),
-			DCError:  metrics.DCErrorFraction(res.R1Hat, in.FK, in.DCs),
-		},
-	}
-	return json.Marshal(body)
 }
 
 // solveParsed is one decoded /v1/solve request: either a full instance

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 
 	"repro/internal/cache"
@@ -79,6 +80,64 @@ func BenchmarkServeHit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if rec := serve(); rec.Header().Get("X-Linksynth-Cache") != "hit" {
 			b.Fatalf("iteration %d: status %d, cache %q", i, rec.Code, rec.Header().Get("X-Linksynth-Cache"))
+		}
+	}
+}
+
+// BenchmarkServeDelta times the delta path of POST /v1/solve in process,
+// on the delta shape of the serving benchmark: census bases are solved in
+// set-up, one per six iterations, and every iteration sends a unique
+// what-if delta that raises the target of CC 1 or CC 2 of a base by j/2+1
+// for its j-th delta. Each must splice a partial re-solve, so this is the
+// patched fingerprint, the rebase, the partial solve, the quality measures,
+// the response encoder and the cache put, measured with their allocations.
+func BenchmarkServeDelta(b *testing.B) {
+	const perBase = 6
+	bases := (b.N + perBase - 1) / perBase
+	c, err := cache.Open("", 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := New(Config{Cache: c, SessionEntries: bases})
+	defer s.Close()
+	serve := func(body []byte) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		return rec
+	}
+	deltas := make([][]byte, b.N)
+	for k := 0; k < bases; k++ {
+		body := censusSolveBody(b, 1000, 901+int64(k))
+		rec := serve(body)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("set-up solve %d: status %d: %s", k, rec.Code, rec.Body.Bytes())
+		}
+		var sr SolveResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &sr); err != nil {
+			b.Fatal(err)
+		}
+		p, err := parseSolveRequest(jsonRequest(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := k; i < b.N; i += bases {
+			j := i / bases
+			cc := 1 + j%2
+			deltas[i], err = json.Marshal(SolveRequest{Base: sr.Key, Delta: &DeltaJSON{
+				CCTargets: map[string]int64{strconv.Itoa(cc): p.in.CCs[cc].Target + int64(j/2+1)},
+			}})
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rec := serve(deltas[i]); rec.Header().Get("X-Linksynth-Incr") != "partial" {
+			b.Fatalf("delta %d: status %d, incr %q: %s", i, rec.Code, rec.Header().Get("X-Linksynth-Incr"), rec.Body.Bytes())
 		}
 	}
 }

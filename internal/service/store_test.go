@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -105,6 +106,59 @@ func TestRestartServesWarmWithZeroSolves(t *testing.T) {
 	}
 	if got := metricValue(t, ts2.URL, "incr_cold_solves_total"); got != 0 {
 		t.Errorf("fresh delta after restart classified cold; the restored plan was not adopted")
+	}
+}
+
+// TestRestoredSessionTargetOnlyDelta: after a restart, the first request
+// a restored session serves re-targets a CC and nothing else, so its key
+// comes from the fingerprint checkpoint the session builds from the
+// restored relations. The key must equal the key of the patched instance
+// submitted in full, to a fresh server and to this one.
+func TestRestoredSessionTargetOnlyDelta(t *testing.T) {
+	dir := t.TempDir()
+	s1, ts1, _ := newStoreServer(t, dir)
+	base, _ := solveBase(t, ts1.URL)
+	ts1.Close()
+	s1.Close()
+
+	s2, ts2, _ := newStoreServer(t, dir)
+	defer func() { ts2.Close(); s2.Close() }()
+	resp := postJSON(t, ts2.URL+"/v1/solve", SolveRequest{Base: base.Key, Delta: &DeltaJSON{CCTargets: map[string]int64{"0": 3}}})
+	deltaBody := readBody(t, resp)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("delta after restart: status %d: %s", resp.StatusCode, deltaBody)
+	}
+	if got := metricValue(t, ts2.URL, "store_sessions_restored_total"); got != 1 {
+		t.Fatalf("store_sessions_restored_total = %d, want 1", got)
+	}
+	var warm SolveResponse
+	if err := json.Unmarshal(deltaBody, &warm); err != nil {
+		t.Fatal(err)
+	}
+
+	patched := testInstance(0)
+	patched.Constraints = strings.Replace(patched.Constraints,
+		"count(Rel = 'Owner', Area = 'Chicago') = 2", "count(Rel = 'Owner', Area = 'Chicago') = 3", 1)
+	full := SolveRequest{InstanceJSON: patched, Options: &OptionsJSON{Seed: 1}}
+	_, ts3 := newTestServer(t, Config{Workers: 1})
+	resp = postJSON(t, ts3.URL+"/v1/solve", full)
+	coldBody := readBody(t, resp)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("cold patched solve: status %d: %s", resp.StatusCode, coldBody)
+	}
+	var cold SolveResponse
+	if err := json.Unmarshal(coldBody, &cold); err != nil {
+		t.Fatal(err)
+	}
+	if warm.Key != cold.Key {
+		t.Errorf("delta key %s, key of the patched instance %s", warm.Key, cold.Key)
+	}
+	resp = postJSON(t, ts2.URL+"/v1/solve", full)
+	if got := resp.Header.Get("X-Linksynth-Cache"); got != "hit" {
+		t.Errorf("patched full solve after the delta: cache header %q, want hit", got)
+	}
+	if b := readBody(t, resp); !bytes.Equal(b, deltaBody) {
+		t.Errorf("patched full solve after the delta: body differs from the delta's")
 	}
 }
 

@@ -395,3 +395,42 @@ func TestIngest(t *testing.T) {
 		t.Fatal("unknown fingerprint served")
 	}
 }
+
+// TestLoadRelationRejectsDuplicateColumn: a peer can push a snapshot whose
+// framing and content hash are sound but whose columnar blob names one
+// column twice. Ingest accepts it; loading it fails with an error, never
+// a panic, and quarantines the file.
+func TestLoadRelationRejectsDuplicateColumn(t *testing.T) {
+	r := table.NewRelation("R1", table.NewSchema(table.IntCol("aa"), table.StrCol("bb")))
+	r.MustAppend(table.Int(1), table.String("x"))
+	var blob bytes.Buffer
+	if _, err := table.EncodeColumnar(table.NewColumnar(r), &blob); err != nil {
+		t.Fatal(err)
+	}
+	enc := blob.Bytes()
+	i := bytes.Index(enc, []byte("bb"))
+	if i < 0 {
+		t.Fatal("second column name not in the blob")
+	}
+	copy(enc[i:], "aa")
+	secs := []section{
+		{kind: secSnapName, payload: []byte(r.Name)},
+		{kind: secSnapColumnar, payload: enc},
+	}
+	fp := snapshotFingerprint(secs)
+
+	s := mustOpen(t, t.TempDir())
+	if _, err := s.Ingest(fp, buildFile(fileKindSnapshot, secs)); err != nil {
+		t.Fatalf("ingest: %v", err)
+	}
+	before := s.CorruptFiles()
+	if _, err := s.LoadRelation(fp); err == nil || !strings.Contains(err.Error(), "duplicate column") {
+		t.Fatalf("LoadRelation: got %v, want a duplicate-column error", err)
+	}
+	if got := s.CorruptFiles(); got != before+1 {
+		t.Fatalf("CorruptFiles = %d, want %d", got, before+1)
+	}
+	if _, err := s.LoadRelation(fp); err == nil {
+		t.Fatal("quarantined snapshot loaded again")
+	}
+}

@@ -87,8 +87,13 @@ func (e *colEnc) pad8() {
 
 // EncodeColumnar writes the canonical binary form of the snapshot to w and
 // returns the number of bytes written. The byte stream is self-delimiting:
-// DecodeColumnar consumes exactly what EncodeColumnar produced.
+// DecodeColumnar consumes exactly what EncodeColumnar produced. A snapshot
+// with rows but no columns has no encoding, since no column body would
+// bound its row count; EncodeColumnar refuses it.
 func EncodeColumnar(c *Columnar, w io.Writer) (int64, error) {
+	if c.schema.Len() == 0 && c.nrows > 0 {
+		return 0, fmt.Errorf("table: columnar snapshot of %d rows has no columns to carry them", c.nrows)
+	}
 	e := &colEnc{w: w}
 	e.bytes(colMagic[:])
 	e.u64(uint64(c.nrows))
@@ -340,8 +345,10 @@ func (d *colDec) bools(n int) ([]bool, error) {
 // data instead of being copied; the caller then guarantees data stays valid
 // and unmodified (e.g. a memory-mapped, immutable snapshot file) for the
 // lifetime of the returned Columnar. Dictionaries and raw values are always
-// copied. Any structural inconsistency fails with an error; DecodeColumnar
-// never returns a partially decoded snapshot.
+// copied. Any structural inconsistency, a repeated column name or a
+// dictionary code past its dictionary among them, fails with an error;
+// DecodeColumnar never returns a partially decoded snapshot, and one it
+// returns materializes through Relation.
 func DecodeColumnar(data []byte, alias bool) (*Columnar, error) {
 	d := &colDec{data: data, alias: alias}
 	magic, err := d.take(8)
@@ -393,7 +400,16 @@ func DecodeColumnar(data []byte, alias bool) (*Columnar, error) {
 		cols[j] = Column{Name: name, Type: Type(typ)}
 		kinds[j] = k
 	}
-	c := &Columnar{schema: NewSchema(cols...), nrows: nrows, cols: make([]*colData, ncols)}
+	if ncols == 0 && nrows > 0 {
+		// No column body carries the row count, so it is unbounded by the
+		// blob's size; EncodeColumnar refuses such a snapshot.
+		return nil, fmt.Errorf("table: columnar blob: %d rows but no columns", nrows)
+	}
+	schema, err := MakeSchema(cols...)
+	if err != nil {
+		return nil, err
+	}
+	c := &Columnar{schema: schema, nrows: nrows, cols: make([]*colData, ncols)}
 	for j := range cols {
 		switch kinds[j] {
 		case encAbsent:
@@ -460,6 +476,15 @@ func decodeTypedCol(d *colDec, nrows int, hasDict bool) (*colData, error) {
 		}
 		if err := d.pad8(); err != nil {
 			return nil, err
+		}
+	}
+	if cd.dict != nil {
+		// Every non-null cell must name a dictionary entry, or Relation
+		// would index past the dictionary.
+		for i, v := range cd.vals {
+			if (cd.null == nil || !cd.null[i]) && (v < 0 || v >= int64(len(cd.dict.strs))) {
+				return nil, fmt.Errorf("row %d: dictionary code %d out of range", i, v)
+			}
 		}
 	}
 	ndistinct, err := d.u32()

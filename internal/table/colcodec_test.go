@@ -2,9 +2,12 @@ package table
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -209,4 +212,112 @@ func TestColumnarCodecEmpty(t *testing.T) {
 	if back.Len() != 0 {
 		t.Fatalf("got %d rows, want 0", back.Len())
 	}
+}
+
+// dupColumnBlob encodes a two-column relation and rewrites the second
+// column's name to the first's.
+func dupColumnBlob(t testing.TB) []byte {
+	t.Helper()
+	r := NewRelation("d", NewSchema(IntCol("aa"), StrCol("bb")))
+	r.MustAppend(Int(1), String("x"))
+	var buf bytes.Buffer
+	if _, err := EncodeColumnar(NewColumnar(r), &buf); err != nil {
+		t.Fatal(err)
+	}
+	enc := buf.Bytes()
+	i := bytes.Index(enc, []byte("bb"))
+	if i < 0 {
+		t.Fatal("second column name not in the blob")
+	}
+	copy(enc[i:], "aa")
+	return enc
+}
+
+// TestColumnarDecodeDuplicateColumn: a blob that names one column twice
+// is rejected with an error, not a panic.
+func TestColumnarDecodeDuplicateColumn(t *testing.T) {
+	enc := dupColumnBlob(t)
+	for _, alias := range []bool{false, true} {
+		if _, err := DecodeColumnar(enc, alias); err == nil || !strings.Contains(err.Error(), `duplicate column "aa"`) {
+			t.Fatalf("alias=%v: got %v, want a duplicate-column error", alias, err)
+		}
+	}
+}
+
+// TestColumnarDecodeDictCodeOutOfRange: a dictionary-coded cell whose
+// code lies past the dictionary is rejected at decode, so Relation never
+// indexes past it. A null cell's code is not read.
+func TestColumnarDecodeDictCodeOutOfRange(t *testing.T) {
+	r := NewRelation("c", NewSchema(StrCol("s")))
+	r.MustAppend(String("x"))
+	r.MustAppend(Null())
+	for _, tc := range []struct {
+		row  int
+		code int64
+		ok   bool
+	}{{0, 1, false}, {0, -1, false}, {1, 99, true}} {
+		c := NewColumnar(r)
+		c.cols[0].vals[tc.row] = tc.code
+		_, err := DecodeColumnar(encodeToBytes(t, c), false)
+		if (err == nil) != tc.ok {
+			t.Fatalf("code %d in row %d: got %v, want ok=%v", tc.code, tc.row, err, tc.ok)
+		}
+	}
+}
+
+// TestColumnarCodecRowsWithoutColumns: a row count no column body bounds
+// is neither encoded nor decoded, so a forged count can not make Relation
+// allocate without limit.
+func TestColumnarCodecRowsWithoutColumns(t *testing.T) {
+	r := NewRelation("z", NewSchema())
+	r.MustAppend()
+	var buf bytes.Buffer
+	if _, err := EncodeColumnar(NewColumnar(r), &buf); err == nil {
+		t.Fatal("encoded a snapshot of rows without columns")
+	}
+	enc := encodeToBytes(t, NewColumnar(NewRelation("z", NewSchema())))
+	if _, err := DecodeColumnar(enc, false); err != nil {
+		t.Fatalf("empty columnless snapshot: %v", err)
+	}
+	binary.LittleEndian.PutUint64(enc[8:], 1<<35)
+	if _, err := DecodeColumnar(enc, false); err == nil {
+		t.Fatal("decoded 2^35 rows without columns")
+	}
+}
+
+// FuzzDecodeColumnar feeds arbitrary bytes to the columnar decoder, with
+// and without aliasing. It either decodes or returns an error, never
+// panics, and a snapshot it returns materializes through Relation without
+// a panic.
+func FuzzDecodeColumnar(f *testing.F) {
+	r := NewRelation("f", NewSchema(IntCol("i"), StrCol("s"), IntCol("n")))
+	r.MustAppend(Int(-3), String("b"), Null())
+	r.MustAppend(Null(), String("a"), Int(math.MaxInt64))
+	r.MustAppend(Int(math.MinInt64), Null(), Int(0))
+	r.MustAppend(Int(7), String("b"), Int(7))
+	var seeds []*Columnar
+	seeds = append(seeds, NewColumnar(r), NewColumnar(r, "s"), NewColumnar(NewRelation("e", NewSchema(StrCol("s")))))
+	mixed := r.Clone()
+	mixed.SetAt(0, 0, String("kind-mixed"))
+	seeds = append(seeds, NewColumnar(mixed))
+	for _, c := range seeds {
+		var buf bytes.Buffer
+		if _, err := EncodeColumnar(c, &buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add(dupColumnBlob(f))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, alias := range []bool{false, true} {
+			c, err := DecodeColumnar(data, alias)
+			if err != nil {
+				continue
+			}
+			if rel, err := c.Relation("f"); err == nil && rel.Len() != c.Len() {
+				t.Fatalf("alias=%v: relation of %d rows from a snapshot of %d", alias, rel.Len(), c.Len())
+			}
+		}
+	})
 }

@@ -2,14 +2,11 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 )
-
-// maxStoreFetch bounds a single store-file transfer; snapshots of instances
-// this large should not be moving over the intra-cluster handoff path.
-const maxStoreFetch = 1 << 30
 
 const fetchAttempts = 3
 
@@ -62,12 +59,9 @@ func (c *Cluster) fetchStoreOnce(ctx context.Context, peer, fpHex string) (b []b
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 		return nil, false, fmt.Errorf("cluster: fetch store from %s: status %d", peer, resp.StatusCode)
 	}
-	b, err = io.ReadAll(io.LimitReader(resp.Body, maxStoreFetch+1))
+	b, err = readBody(resp.Body, maxResultBody)
 	if err != nil {
-		return nil, true, fmt.Errorf("cluster: fetch store from %s: read response: %w", peer, err)
-	}
-	if len(b) > maxStoreFetch {
-		return nil, false, fmt.Errorf("cluster: fetch store from %s: file exceeds %d bytes", peer, maxStoreFetch)
+		return nil, !errors.Is(err, errTooLarge), fmt.Errorf("cluster: fetch store from %s: read response: %w", peer, err)
 	}
 	return b, false, nil
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -52,12 +53,47 @@ func (c *Cluster) ForwardSolve(ctx context.Context, owner, contentType, query st
 		return nil, fmt.Errorf("cluster: forward to %s: %w", owner, err)
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
+	b, err := readBody(resp.Body, maxResultBody)
 	if err != nil {
 		c.observeTransportErr(owner, err)
 		return nil, fmt.Errorf("cluster: forward to %s: read response: %w", owner, err)
 	}
 	return &ForwardResult{StatusCode: resp.StatusCode, Header: resp.Header, Body: b}, nil
+}
+
+// Limits on a peer's reply. A reply past its limit is an error, never
+// truncated: ForwardSolve's caller relays the body verbatim.
+const (
+	// maxResultBody bounds a reply that carries results or durable state:
+	// a forwarded solve's response, a finished sub-job's results, or one
+	// store file. Instances this large should not move between nodes.
+	maxResultBody = 1 << 30
+	// maxControlBody bounds a batch submit's reply: a job id and status,
+	// or an error message, well under a KiB. It matches the caps on the
+	// health probe's and the join's replies.
+	maxControlBody = 1 << 20
+	// maxDebugBody bounds one telemetry fetch: a /metrics scrape (about
+	// 16 KiB per node) or one trace's flight records (a few KiB each,
+	// plus about 200 bytes per constraint when the trace carries an
+	// explain report). 16 MiB covers explain reports over some 80,000
+	// constraints.
+	maxDebugBody = 16 << 20
+)
+
+// errTooLarge marks a peer reply longer than its limit.
+var errTooLarge = errors.New("reply exceeds size limit")
+
+// readBody reads a peer's whole reply, or fails once it runs past limit
+// bytes; it reads at most limit+1.
+func readBody(r io.Reader, limit int64) ([]byte, error) {
+	b, err := io.ReadAll(io.LimitReader(r, limit+1))
+	if err != nil {
+		return nil, err
+	}
+	if int64(len(b)) > limit {
+		return nil, fmt.Errorf("%w of %d bytes", errTooLarge, limit)
+	}
+	return b, nil
 }
 
 // setTraceHeader stamps the context's trace id (if any) onto an

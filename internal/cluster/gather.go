@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 )
@@ -87,7 +86,7 @@ func (c *Cluster) SubmitBatch(ctx context.Context, owner string, body []byte) (s
 		return "", fmt.Errorf("cluster: submit batch to %s: %w", owner, err)
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
+	b, err := readBody(resp.Body, maxControlBody)
 	if err != nil {
 		c.observeTransportErr(owner, err)
 		return "", fmt.Errorf("cluster: submit batch to %s: read response: %w", owner, err)
@@ -147,7 +146,7 @@ func (c *Cluster) pollJob(ctx context.Context, owner, id string) (*jobWire, erro
 		return nil, fmt.Errorf("cluster: poll job %s on %s: %w", id, owner, err)
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
+	b, err := readBody(resp.Body, maxResultBody)
 	if err != nil {
 		c.observeTransportErr(owner, err)
 		return nil, fmt.Errorf("cluster: poll job %s on %s: read response: %w", id, owner, err)

@@ -245,9 +245,10 @@ func (c *Cluster) isSelfLeft() bool {
 // unless the failure was the caller's own cancellation — a client that
 // hangs up mid-forward (or a deleted parent job aborting its polls) says
 // nothing about the peer's health, and must not evict a healthy owner
-// from the ring.
+// from the ring — or a reply past its size limit, which the peer did
+// send.
 func (c *Cluster) observeTransportErr(url string, err error) {
-	if errors.Is(err, context.Canceled) {
+	if errors.Is(err, context.Canceled) || errors.Is(err, errTooLarge) {
 		return
 	}
 	c.MarkDown(url, err)

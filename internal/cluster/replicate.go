@@ -12,11 +12,12 @@ import (
 // Replication RPCs: an owner pushes what it just produced — the encoded
 // solve response for the cache, and the durable artifacts (snapshot +
 // session record) for the store — to its ring-successors, so a
-// successor can answer warm the moment the owner dies. Both pushes are
-// the PR 7 fetch codec turned around: the same verified bytes that
-// GET /v1/replica/{fp} / GET /v1/store/{fp} would serve are POSTed, and
-// the replica ingests them through the same verify-or-quarantine path,
-// so a corrupt or misdirected push is rejected, never served.
+// successor can answer warm the moment the owner dies. A store push POSTs
+// the bytes GET /v1/store/{fp} serves, and the replica ingests them
+// through store.Ingest's verify-or-quarantine path; a cache push POSTs
+// the body a cache hit serves to /v1/replica/{fp}, which checks its
+// embedded key and canonical form. Either way a corrupt or misdirected
+// push is rejected, never served.
 //
 // Pushes retry only on transport errors: an HTTP status is the replica
 // speaking authoritatively (400 = bad payload, 503 = draining) and

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 )
 
@@ -28,7 +27,7 @@ func (c *Cluster) FetchDebug(ctx context.Context, node, path string) ([]byte, er
 		return nil, fmt.Errorf("cluster: fetch %s%s: %w", node, path, err)
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
+	b, err := readBody(resp.Body, maxDebugBody)
 	if err != nil {
 		c.observeTransportErr(node, err)
 		return nil, fmt.Errorf("cluster: fetch %s%s: read: %w", node, path, err)

@@ -6,8 +6,8 @@ package obsv
 // spans — it never feeds core.Fingerprint, never enters a cached response
 // body, and requesting it never changes solver output bytes (the golden
 // tests pin this). It lives here rather than in core because everything
-// above core (service, benchtab, the flight recorder) reads it, and obsv
-// is the one package they all already share.
+// above core (service, the flight recorder) reads it, and obsv is the one
+// package they all already share.
 //
 // All measured quantities are deterministic for a given instance: posting
 // list cardinalities, combo match counts, DC candidate counts, and

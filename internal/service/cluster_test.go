@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -446,5 +447,38 @@ func TestClusterHealthzAndMetricsExposeTopology(t *testing.T) {
 	}
 	if known := metricValue(t, nodes[0].url, "cluster_peers_known"); known != 2 {
 		t.Errorf("cluster_peers_known = %d, want 2", known)
+	}
+}
+
+// A peer whose /metrics reply runs past the telemetry read limit (16 MiB)
+// must not make the node buffer it: the merged scrape lists the peer as
+// down and carries none of its bytes. The peer answered, so it stays up
+// for routing.
+func TestClusterMetricsRefusesOversizedPeerScrape(t *testing.T) {
+	nodes := newTestCluster(t, 2)
+	line := []byte("streamed_junk_total 1\n")
+	nodes[1].swap.set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		for sent := 0; sent < 64<<20; sent += len(line) {
+			if _, err := w.Write(line); err != nil {
+				return // the reader gave up, as it must
+			}
+		}
+	}))
+	resp, err := http.Get(nodes[0].url + "/debug/cluster")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	body := string(readBody(t, resp))
+	if strings.Contains(body, "streamed_junk_total") {
+		t.Fatal("merged scrape relays bytes of the oversized reply")
+	}
+	if want := `linksynthd_cluster_node_up{node="` + nodes[1].url + `"} 0`; !strings.Contains(body, want) {
+		t.Fatalf("merged scrape lacks %q", want)
+	}
+	if up := nodes[0].clu.UpNodes(); len(up) != 2 {
+		t.Fatalf("oversized reply marked the peer down: up = %v", up)
 	}
 }

@@ -3,20 +3,31 @@
 //
 // Endpoints:
 //
-//	POST /v1/solve     solve one instance synchronously (JSON or multipart CSV)
-//	POST /v1/batch     enqueue an async multi-instance job; returns a job id
-//	GET  /v1/jobs/{id} job status and, once finished, per-instance results
-//	DELETE /v1/jobs/{id} cancel a queued or running job
-//	GET  /healthz      liveness
-//	GET  /metrics      Prometheus-style counters
+//	POST   /v1/solve          solve one instance (JSON or multipart CSV), or a
+//	                          {base, delta} against a warm session; ?explain=1
+//	                          adds the solve's cost report
+//	POST   /v1/batch          enqueue an async multi-instance job; returns a job id
+//	GET    /v1/jobs           every retained job's status, without results
+//	GET    /v1/jobs/{id}      job status and, once finished, per-instance results
+//	DELETE /v1/jobs/{id}      cancel a queued or running job
+//	POST   /v1/cluster/join   admit a member and answer with the member view
+//	POST   /v1/cluster/leave  tombstone a departing member
+//	POST   /v1/replica/{fp}   ingest a cache entry pushed by its owner
+//	GET    /v1/store/{fp}     serve a durable-store file (snapshot or session)
+//	POST   /v1/store/{fp}     ingest a pushed durable-store file
+//	GET    /healthz           liveness, and in a cluster the member view
+//	GET    /metrics           Prometheus exposition
+//	GET    /debug/flight      recent traces (?trace=<id> filters, ?format=text)
+//	GET    /debug/cluster     every live member's /metrics, merged
+//	GET    /debug/trace/{id}  one trace stitched across every member
 //
 // Every solve is content-addressed through core.Fingerprint: identical
-// instances — across clients, across restarts when a cache dir is
-// configured — are solved once and served from the cache byte-identically
-// thereafter. Concurrent requests for the same instance coalesce onto a
-// single solver run. All solver work multiplexes over one shared
-// internal/sched pool, with a bounded admission queue in front of it, so N
-// concurrent clients never oversubscribe the host.
+// instances — across clients, and across restarts when a data directory is
+// configured (linksynthd -data-dir) — are solved once and served from the
+// cache byte-identically thereafter. Concurrent requests for the same
+// instance coalesce onto a single solver run. All solver work multiplexes
+// over one shared internal/sched pool, with a bounded admission queue in
+// front of it, so N concurrent clients never oversubscribe the host.
 package service
 
 import (

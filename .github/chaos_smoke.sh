@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # chaos_smoke.sh — elastic-cluster chaos drill on the real linksynthd
 # binary. A 3-node cluster with -replicas 2 takes sustained {base, delta}
-# traffic; one node is killed (-9, no graceful leave) mid-traffic and a
-# replacement joins via -join. The gate:
+# traffic; the node that owns base 1 is killed (-9, no graceful leave)
+# mid-traffic and a replacement joins via -join. The gate:
 #
 #   * zero wrong bytes — every response during and after the chaos is
 #     byte-identical to a single-node golden run of the same requests
@@ -55,11 +55,14 @@ wait_metric_at_least() { # url name want
   return 1
 }
 
+# served_by header-file -> the X-Linksynth-Node a response names
+served_by() { tr -d '\r' < "$1" | awk -F': ' 'tolower($1) == "x-linksynth-node" {print $2}'; }
+
 mk_inst() { sed "s/\"seed\": 1/\"seed\": $1/" .github/smoke/solve.json; }
 
-post() { # url body-file out-file -> appends latency_ms to $work/latencies
+post() { # url body-file out-file [header-file] -> appends latency_ms to $work/latencies
   local t
-  t=$(curl -fsS -w '%{time_total}' -o "$3" -X POST -H 'Content-Type: application/json' \
+  t=$(curl -fsS -w '%{time_total}' -o "$3" -D "${4:-/dev/null}" -X POST -H 'Content-Type: application/json' \
     -d @"$2" "$1/v1/solve")
   awk -v t="$t" 'BEGIN {printf "%d\n", t * 1000}' >> "$work/latencies"
 }
@@ -106,7 +109,7 @@ for url in "$n1" "$n2" "$n3"; do wait_healthy "$url"; done
 urls=("$n1" "$n2" "$n3")
 for i in $(seq 1 "$N"); do
   entry="${urls[$(( i % 3 ))]}"
-  post "$entry" "$work/inst-$i.json" "$work/seed-base-$i"
+  post "$entry" "$work/inst-$i.json" "$work/seed-base-$i" "$work/seed-base-$i.hdr"
   cmp "$work/seed-base-$i" "$work/golden-base-$i"
   post "$entry" "$work/delta-$i.json" "$work/seed-delta-$i"
   cmp "$work/seed-delta-$i" "$work/golden-delta-$i"
@@ -120,17 +123,31 @@ for url in "$n1" "$n2" "$n3"; do
 done
 
 # ------------------------------------------------------------- the chaos
-# Kill node 1 outright, then keep the same traffic flowing through the
-# survivors. Everything must stay byte-identical and warm: the survivors'
-# solver never runs again for these fingerprints.
-runs2=$(metric "$n2" solver_runs_total); runs3=$(metric "$n3" solver_runs_total)
-cold2=$(metric "$n2" incr_cold_solves_total); cold3=$(metric "$n3" incr_cold_solves_total)
-kill -9 "$pid1"; wait "$pid1" 2>/dev/null || true
+# Kill the node that served base 1 — its owner — outright, then keep the
+# same traffic flowing through the survivors. The ports, and so the ring,
+# vary from run to run; a victim chosen this way owns at least one seeded
+# base, so the survivors always have a dead owner's keys to answer for.
+# Everything must stay byte-identical and warm: the survivors' solver
+# never runs again for these fingerprints.
+victim=$(served_by "$work/seed-base-1.hdr")
+owned=0
+for i in $(seq 1 "$N"); do
+  if [ "$(served_by "$work/seed-base-$i.hdr")" = "$victim" ]; then owned=$(( owned + 1 )); fi
+done
+case "$victim" in
+  "$n1") vpid=$pid1; s1=$n2; s2=$n3 ;;
+  "$n2") vpid=$pid2; s1=$n1; s2=$n3 ;;
+  "$n3") vpid=$pid3; s1=$n1; s2=$n2 ;;
+  *) echo "chaos: base 1 was served by unknown node '$victim'" >&2; exit 1 ;;
+esac
+runs1=$(metric "$s1" solver_runs_total); runs2=$(metric "$s2" solver_runs_total)
+cold1=$(metric "$s1" incr_cold_solves_total); cold2=$(metric "$s2" incr_cold_solves_total)
+kill -9 "$vpid"; wait "$vpid" 2>/dev/null || true
 
 wrong=0
 for _ in $(seq 1 "$ROUNDS"); do
   for i in $(seq 1 "$N"); do
-    for entry in "$n2" "$n3"; do
+    for entry in "$s1" "$s2"; do
       post "$entry" "$work/inst-$i.json" "$work/chaos-base"
       cmp -s "$work/chaos-base" "$work/golden-base-$i" || wrong=$(( wrong + 1 ))
       post "$entry" "$work/delta-$i.json" "$work/chaos-delta"
@@ -138,29 +155,30 @@ for _ in $(seq 1 "$ROUNDS"); do
     done
   done
 done
-resolves=$(( $(metric "$n2" solver_runs_total) - runs2 + $(metric "$n3" solver_runs_total) - runs3 ))
-colds=$(( $(metric "$n2" incr_cold_solves_total) - cold2 + $(metric "$n3" incr_cold_solves_total) - cold3 ))
-failovers2=$(metric "$n2" cluster_failovers_total); failovers3=$(metric "$n3" cluster_failovers_total)
-failovers=$(( failovers2 + failovers3 ))
-restored=$(( $(metric "$n2" store_sessions_restored_total) + $(metric "$n3" store_sessions_restored_total) ))
+resolves=$(( $(metric "$s1" solver_runs_total) - runs1 + $(metric "$s2" solver_runs_total) - runs2 ))
+colds=$(( $(metric "$s1" incr_cold_solves_total) - cold1 + $(metric "$s2" incr_cold_solves_total) - cold2 ))
+failovers1=$(metric "$s1" cluster_failovers_total); failovers2=$(metric "$s2" cluster_failovers_total)
+failovers=$(( failovers1 + failovers2 ))
+restored=$(( $(metric "$s1" store_sessions_restored_total) + $(metric "$s2" store_sessions_restored_total) ))
 # Report the numbers before gating on them, so a failed run says which.
+echo "chaos: victim=$victim owns $owned of $N seeded bases" >&2
 echo "chaos: wrong=$wrong resolves=$resolves colds=$colds failovers=$failovers" \
-  "(n2 $failovers2, n3 $failovers3) restored=$restored" >&2
+  "($s1 $failovers1, $s2 $failovers2) restored=$restored" >&2
 test "$wrong" -eq 0
 test "$resolves" -eq 0   # replicated fingerprints never re-solve
 test "$colds" -eq 0
 test "$failovers" -ge 1
 test "$restored" -ge 1
 # The failover left its trail in a survivor's flight recorder.
-curl -fsS "$n2/debug/flight" > "$work/flight"
-curl -fsS "$n3/debug/flight" >> "$work/flight"
+curl -fsS "$s1/debug/flight" > "$work/flight"
+curl -fsS "$s2/debug/flight" >> "$work/flight"
 grep -q 'failover: owner' "$work/flight"
 
 # ------------------------------------------------------- the replacement
 # A fresh node joins via a survivor — no restarts, no -peers edits — and
 # begins serving: old keys byte-identically (routed to the warm
 # survivors), and a brand-new fingerprint end to end.
-"$BIN" -addr "127.0.0.1:${p4}" -advertise "$n4" -join "$n2" \
+"$BIN" -addr "127.0.0.1:${p4}" -advertise "$n4" -join "$s1" \
   -replicas 2 -probe-interval 250ms -data-dir "$work/node4" &
 pids+=("$!")
 wait_healthy "$n4"
@@ -173,7 +191,7 @@ done
 test "$(metric "$n4" cluster_members)" -eq 4
 test "$(metric "$n4" cluster_peers_up)" -eq 2
 # Gossip carried the join to the second survivor without it being told.
-wait_metric_at_least "$n3" cluster_members 4
+wait_metric_at_least "$s2" cluster_members 4
 
 for i in $(seq 1 "$N"); do
   post "$n4" "$work/inst-$i.json" "$work/join-base"
@@ -185,7 +203,7 @@ grep -q '"key"' "$work/new-resp"
 
 # Every live node still serves valid, deterministically ordered exposition
 # carrying the elasticity families.
-for url in "$n2" "$n3" "$n4"; do
+for url in "$s1" "$s2" "$n4"; do
   curl -fsS -o "$work/scrape" "$url/metrics"
   ./.github/check_metrics.sh < "$work/scrape"
   for fam in cluster_members cluster_membership_epoch cluster_replica_pushed_total \

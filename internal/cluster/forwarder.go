@@ -72,6 +72,9 @@ const (
 	// or an error message, well under a KiB. It matches the caps on the
 	// health probe's and the join's replies.
 	maxControlBody = 1 << 20
+	// maxPushReply bounds the reply to a store push: nothing on success,
+	// an error message otherwise.
+	maxPushReply = 4 << 10
 	// maxDebugBody bounds one telemetry fetch: a /metrics scrape (about
 	// 16 KiB per node) or one trace's flight records (a few KiB each,
 	// plus about 200 bytes per constraint when the trace carries an

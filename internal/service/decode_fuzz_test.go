@@ -3,6 +3,9 @@ package service
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"mime"
+	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -185,4 +188,84 @@ func mustKey(t *testing.T, in core.Input, opt core.Options) [32]byte {
 		t.Fatal(err)
 	}
 	return k
+}
+
+// FuzzMultipartSolve feeds multipart/form-data solve requests to the
+// request decoder: CSV parts through table.ReadCSVInferred, the key
+// fields, constraint text and options JSON. Each input is tried twice, as
+// a body built from the fuzzed parts and as raw fuzzed bytes under a
+// fuzzed boundary. The decoder may not panic, every rejection renders as
+// a 4xx, and every accepted request fingerprints. The seed is the
+// README's CSV upload.
+func FuzzMultipartSolve(f *testing.F) {
+	r1, r2 := "pid,Rel,hid\n1,Owner,\n2,Owner,\n3,Spouse,\n", "hid,Area\n1,Chicago\n2,NYC\n"
+	cons := "cc c1: count(Area = 'Chicago') = 2\ndc d1: deny t1.Rel = 'Owner' & t2.Rel = 'Owner'"
+	readme := multipartBody(r1, r2, "pid", "hid", "hid", cons, `{"seed": 1}`, "b0undary")
+	if _, err := parseSolveRequest(multipartRequest("multipart/form-data; boundary=b0undary", readme)); err != nil {
+		f.Fatalf("the README's upload does not decode: %v", err)
+	}
+	f.Add(r1, r2, "pid", "hid", "hid", cons, "", "b0undary", readme)
+	f.Add(r1, r2, "pid", "hid", "hid", cons, `{"seed": 1}`, "b0undary", readme)
+
+	f.Fuzz(func(t *testing.T, r1, r2, k1, k2, fk, cons, opts, boundary string, raw []byte) {
+		built := multipartBody(r1, r2, k1, k2, fk, cons, opts, boundary)
+		checkMultipartDecode(t, "multipart/form-data; boundary="+multipartBoundary(boundary), built)
+		ct := mime.FormatMediaType("multipart/form-data", map[string]string{"boundary": boundary})
+		if ct == "" {
+			ct = "multipart/form-data; boundary=" + boundary
+		}
+		checkMultipartDecode(t, ct, raw)
+	})
+}
+
+// multipartBoundary returns boundary if a multipart writer takes it, and
+// a fixed valid boundary otherwise.
+func multipartBoundary(boundary string) string {
+	if multipart.NewWriter(io.Discard).SetBoundary(boundary) != nil {
+		return "b0undary"
+	}
+	return boundary
+}
+
+// multipartBody renders a CSV solve upload; an empty opts leaves the
+// options part out.
+func multipartBody(r1, r2, k1, k2, fk, cons, opts, boundary string) []byte {
+	var buf bytes.Buffer
+	mw := multipart.NewWriter(&buf)
+	mw.SetBoundary(multipartBoundary(boundary))
+	for _, p := range []struct{ name, data string }{{"r1", r1}, {"r2", r2}} {
+		w, _ := mw.CreateFormFile(p.name, p.name+".csv")
+		io.WriteString(w, p.data)
+	}
+	mw.WriteField("k1", k1)
+	mw.WriteField("k2", k2)
+	mw.WriteField("fk", fk)
+	mw.WriteField("constraints", cons)
+	if opts != "" {
+		mw.WriteField("options", opts)
+	}
+	mw.Close()
+	return buf.Bytes()
+}
+
+// multipartRequest is a /v1/solve request under a 1 MiB body limit.
+func multipartRequest(contentType string, body []byte) *http.Request {
+	r := httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(body))
+	r.Header.Set("Content-Type", contentType)
+	r.Body = http.MaxBytesReader(httptest.NewRecorder(), r.Body, 1<<20)
+	return r
+}
+
+func checkMultipartDecode(t *testing.T, contentType string, body []byte) {
+	t.Helper()
+	p, err := parseSolveRequest(multipartRequest(contentType, body))
+	if err != nil {
+		if resp := errorResponse(err); resp[0] != '4' {
+			t.Fatalf("rejection renders as %s, want a 4xx", resp)
+		}
+		return
+	}
+	if _, err := core.Fingerprint(p.in, p.opt); err != nil {
+		t.Fatalf("accepted request does not fingerprint: %v", err)
+	}
 }

@@ -371,6 +371,11 @@ func TestClusterMembershipChangeMigratesSessions(t *testing.T) {
 	waitFor(t, "old owner counts the migrated session", func() bool {
 		return metricValue(t, a.url, "cluster_sessions_migrated_total") >= 1
 	})
+	// Migration pushes through the replication push and counts with it; no
+	// node here replicates, so every push A counts is a migration's.
+	if got := metricValue(t, a.url, "cluster_replica_pushed_total"); got < 4 {
+		t.Errorf("old owner replica_pushed = %d, want >= 4: the result file, two snapshots and the session record", got)
+	}
 
 	resp = postJSON(t, c.url+"/v1/solve", SolveRequest{Base: baseHex, Delta: warmDelta()})
 	body := readBody(t, resp)
@@ -436,80 +441,155 @@ func TestClusterForwardExhaustedReturns503(t *testing.T) {
 	}
 }
 
-// Replica ingestion is verify-or-quarantine: only the canonical encoding
-// of a solve response whose embedded key matches the path is accepted, so
-// a corrupt or misdirected push can never be served. Runs with Replicas=0
-// on the receiver — any clustered node must accept pushes even if it does
-// not originate them.
-func TestReplicaPushVerifiesBeforeServing(t *testing.T) {
-	nodes := newElasticCluster(t, 2, 0, true)
+// postStore pushes data to url's /v1/store/ gate under fpHex, the way a
+// replicating peer does, and returns the status.
+func postStore(t *testing.T, url, fpHex string, data []byte) int {
+	t.Helper()
+	r, err := http.Post(url+"/v1/store/"+fpHex, "application/octet-stream", bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	readBody(t, r)
+	return r.StatusCode
+}
+
+// solveOwned has nodes[0] solve a fresh instance it owns and returns the
+// request, its key and the canonical body.
+func solveOwned(t *testing.T, nodes []*clusterNode, start int64) (SolveRequest, cache.Key, []byte) {
+	t.Helper()
 	opt := &OptionsJSON{Seed: 1}
-	all := nodes[0].clu.Nodes()
-
-	inst := instanceOwnedBy(t, all, nodes[0].url, opt, 16000)
-	key := keyOf(t, inst, opt)
-	keyHex := hex.EncodeToString(key[:])
-	ownerNode, other := nodes[0], nodes[1]
-
-	resp := postJSON(t, ownerNode.url+"/v1/solve", SolveRequest{InstanceJSON: inst, Options: opt})
+	inst := instanceOwnedBy(t, nodes[0].clu.Nodes(), nodes[0].url, opt, start)
+	req := SolveRequest{InstanceJSON: inst, Options: opt}
+	resp := postJSON(t, nodes[0].url+"/v1/solve", req)
 	body := readBody(t, resp)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("solve status %d: %s", resp.StatusCode, body)
 	}
+	return req, keyOf(t, inst, opt), body
+}
 
-	push := func(path string, b []byte) int {
-		t.Helper()
-		r, err := http.Post(other.url+path, "application/octet-stream", bytes.NewReader(b))
-		if err != nil {
-			t.Fatal(err)
+// failoverServesWarm marks the owner down on nd and checks that nd then
+// answers req with body from its replicated entry, without solving.
+func failoverServesWarm(t *testing.T, nd *clusterNode, owner string, req SolveRequest, body []byte) {
+	t.Helper()
+	nd.clu.MarkDown(owner, context.DeadlineExceeded)
+	resp := postJSON(t, nd.url+"/v1/solve", req)
+	got := readBody(t, resp)
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, body) {
+		t.Fatalf("replica serve after owner down: status %d, bytes-equal %v", resp.StatusCode, bytes.Equal(got, body))
+	}
+	if n := metricValue(t, nd.url, "cluster_replica_served_total"); n != 1 {
+		t.Errorf("replica_served = %d, want 1", n)
+	}
+	if n := metricValue(t, nd.url, "cluster_failovers_total"); n != 1 {
+		t.Errorf("failovers = %d, want 1", n)
+	}
+	if n := metricValue(t, nd.url, "solver_runs_total"); n != 0 {
+		t.Errorf("receiving node ran the solver %d times, want 0", n)
+	}
+}
+
+// The /v1/store/ push is one verify-or-quarantine gate: a result file is
+// accepted only if it frames correctly, names the path's key in its key
+// section, and holds the canonical encoding of a solve response whose
+// embedded key is the path's; anything else must pass store.Ingest. So a
+// corrupt, misdirected or non-canonical push can never be served. Runs
+// with Replicas=0 on the receiver — any clustered node must accept pushes
+// even if it does not originate them.
+func TestReplicaPushVerifiesBeforeServing(t *testing.T) {
+	nodes := newElasticCluster(t, 2, 0, true)
+	req, key, body := solveOwned(t, nodes, 16000)
+	keyHex := hex.EncodeToString(key[:])
+	other := nodes[1]
+
+	wrong := key
+	wrong[0] ^= 0xff
+	wrongHex := hex.EncodeToString(wrong[:])
+	for _, c := range []struct {
+		what, fpHex string
+		data        []byte
+	}{
+		{"bad-hex path", "zz", store.EncodeResult(key, body)},
+		{"non-canonical body", keyHex, store.EncodeResult(key, append(append([]byte{}, body...), ' '))},
+		{"key section differs from the path", keyHex, store.EncodeResult(wrong, body)},
+		{"embedded key differs from the path", wrongHex, store.EncodeResult(wrong, body)},
+		{"garbage bytes", keyHex, []byte("garbage")},
+	} {
+		if got := postStore(t, other.url, c.fpHex, c.data); got != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", c.what, got)
 		}
-		readBody(t, r)
-		return r.StatusCode
 	}
-	if got := push("/v1/replica/zz", body); got != http.StatusBadRequest {
-		t.Errorf("bad-hex path accepted: status %d", got)
+	if n := other.srv.cache.Len(); n != 0 {
+		t.Fatalf("rejected pushes left %d cache entries", n)
 	}
-	if got := push("/v1/replica/"+keyHex, append(append([]byte{}, body...), ' ')); got != http.StatusBadRequest {
-		t.Errorf("non-canonical body accepted: status %d", got)
-	}
-	wrongFP := make([]byte, 64)
-	for i := range wrongFP {
-		wrongFP[i] = 'a'
-	}
-	if got := push("/v1/replica/"+string(wrongFP), body); got != http.StatusBadRequest {
-		t.Errorf("misdirected push (embedded key mismatch) accepted: status %d", got)
-	}
-	if _, ok := other.srv.cache.Get(key); ok {
-		t.Fatal("a rejected push landed in the cache")
-	}
-	if got := push("/v1/store/"+keyHex, []byte("garbage")); got != http.StatusBadRequest {
-		t.Errorf("unverifiable store push accepted: status %d", got)
-	}
-	if got := metricValue(t, other.url, "cluster_replica_failed_total"); got != 3 {
-		t.Errorf("replica_failed = %d, want 3 (two bad bodies, one bad store file)", got)
+	if got := metricValue(t, other.url, "cluster_replica_failed_total"); got != 5 {
+		t.Errorf("replica_failed = %d, want 5, one per rejected push", got)
 	}
 
 	// The genuine push is accepted — and serves a warm failover even on a
 	// node that never replicates outbound.
-	if got := push("/v1/replica/"+keyHex, body); got != http.StatusNoContent {
+	if got := postStore(t, other.url, keyHex, store.EncodeResult(key, body)); got != http.StatusNoContent {
 		t.Fatalf("genuine push rejected: status %d", got)
 	}
 	if got := metricValue(t, other.url, "cluster_replica_ingested_total"); got != 1 {
 		t.Errorf("replica_ingested = %d, want 1", got)
 	}
-	other.clu.MarkDown(ownerNode.url, context.DeadlineExceeded)
-	resp = postJSON(t, other.url+"/v1/solve", SolveRequest{InstanceJSON: inst, Options: opt})
-	got := readBody(t, resp)
-	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, body) {
-		t.Fatalf("replica serve after owner down: status %d, bytes-equal %v", resp.StatusCode, bytes.Equal(got, body))
+	failoverServesWarm(t, other, nodes[0].url, req, body)
+}
+
+// A clustered node without a data directory still takes cache entries,
+// which live in memory, but has nowhere to put a snapshot or a session
+// record.
+func TestReplicaPushMemoryOnlyReceiver(t *testing.T) {
+	nodes := newElasticCluster(t, 2, 0, false)
+	req, key, body := solveOwned(t, nodes, 16500)
+	other := nodes[1]
+
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := metricValue(t, other.url, "cluster_replica_served_total"); n != 1 {
-		t.Errorf("replica_served = %d, want 1", n)
+	fp, err := st.PutRelation(paperInstance(t).R1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := metricValue(t, other.url, "cluster_failovers_total"); n != 1 {
-		t.Errorf("failovers = %d, want 1", n)
+	snap, _, err := st.ReadFile(fp)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := metricValue(t, other.url, "solver_runs_total"); n != 0 {
-		t.Errorf("receiving node ran the solver %d times, want 0", n)
+	if got := postStore(t, other.url, hex.EncodeToString(fp[:]), snap); got != http.StatusNotFound {
+		t.Errorf("snapshot push to a memory-only node: status %d, want 404", got)
+	}
+	if got := postStore(t, other.url, hex.EncodeToString(key[:]), store.EncodeResult(key, body)); got != http.StatusNoContent {
+		t.Fatalf("result push to a memory-only node: status %d, want 204", got)
+	}
+	failoverServesWarm(t, other, nodes[0].url, req, body)
+}
+
+// Outside a cluster nothing replicates, so a result push has no taker;
+// and /v1/replica/, the cache entries' old push path, is gone.
+func TestResultPushNeedsCluster(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Config{Workers: 2, Store: st})
+	key := keyOf(t, testInstance(0), &OptionsJSON{Seed: 1})
+	keyHex := hex.EncodeToString(key[:])
+	res := store.EncodeResult(key, []byte(`{"key":"`+keyHex+`"}`))
+	if got := postStore(t, ts.URL, keyHex, res); got != http.StatusNotFound {
+		t.Errorf("result push to a single node: status %d, want 404", got)
+	}
+	nodes := newTestCluster(t, 1)
+	r, err := http.Post(nodes[0].url+"/v1/replica/"+keyHex, "application/json", bytes.NewReader(res))
+	if err != nil {
+		t.Fatal(err)
+	}
+	readBody(t, r)
+	if r.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /v1/replica/: status %d, want 404", r.StatusCode)
+	}
+	if s.cache.Len() != 0 || nodes[0].srv.cache.Len() != 0 {
+		t.Error("a refused push landed in a cache")
 	}
 }

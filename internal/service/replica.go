@@ -13,12 +13,13 @@ import (
 	"repro/internal/cache"
 	"repro/internal/cluster"
 	"repro/internal/obsv"
+	"repro/internal/store"
 )
 
 // This file is the serving layer's elasticity tier: the membership
-// endpoints a joining or leaving node announces itself through, the
-// replica-ingestion endpoints an owner pushes warm state to, the
-// asynchronous replication queue that feeds them, and the migration
+// endpoints a joining or leaving node announces itself through, the one
+// gate (POST /v1/store/{fp}) every pushed piece of warm state passes, the
+// asynchronous replication queue that feeds it, and the migration
 // watcher that streams parked sessions to their new owner when ring
 // ownership moves. Together they make a node's death boring: its K
 // ring-successors already hold its cache entries and durable session
@@ -31,11 +32,11 @@ import (
 // not stretched.
 const replPushTimeout = 30 * time.Second
 
-// replReq asks the replicator goroutine to push one solved key to its
-// ring-successors: the encoded response body for the byte cache, and any
-// durable-store artifacts (session record, snapshots) by fingerprint —
-// the file bytes are read from the store at push time, so the queue holds
-// no large payloads beyond the response body itself.
+// replReq is one key's warm state to push to a node: the encoded response
+// body for the byte cache, and any durable-store artifacts (snapshots,
+// then the session record) by fingerprint — the file bytes are read from
+// the store at push time, so the queue holds no large payloads beyond the
+// response body itself.
 type replReq struct {
 	key   cache.Key
 	body  []byte
@@ -100,30 +101,35 @@ func (s *Server) replicateOne(req replReq) {
 	s.obs.Replicate.Observe(dur)
 }
 
-// pushTo replicates one key's state to one successor: the cache body
-// first (it alone makes failover reads warm), then the store files.
-func (s *Server) pushTo(ctx context.Context, tr *obsv.Trace, target string, req replReq) {
-	keyHex := hex.EncodeToString(req.key[:])
-	if req.body != nil {
-		if err := s.clu.PushReplica(ctx, target, keyHex, req.body); err != nil {
+// pushTo sends one key's warm state to one node as store files through
+// its /v1/store/ gate: the result file first (it alone makes failover
+// reads warm), then the store files in order, stopping at the first
+// failure. It reports whether anything arrived.
+func (s *Server) pushTo(ctx context.Context, tr *obsv.Trace, target string, req replReq) (moved bool) {
+	push := func(fp cache32, data []byte) bool {
+		fpHex := hex.EncodeToString(fp[:])
+		if err := s.clu.PushStore(ctx, target, fpHex, data); err != nil {
 			s.replicaFailed.Add(1)
-			tr.SetError("replicate: cache push to " + target + ": " + err.Error())
-			return // the peer just failed; don't hammer it with the files
+			tr.SetError("push " + fpHex[:12] + " to " + target + ": " + err.Error())
+			return false // the peer just failed; don't hammer it with the rest
 		}
 		s.replicaPushed.Add(1)
+		moved = true
+		return true
+	}
+	if req.body != nil && !push(req.key, store.EncodeResult(req.key, req.body)) {
+		return moved
 	}
 	for _, fp := range req.files {
 		data, _, err := s.store.ReadFile(fp)
 		if err != nil {
 			continue // evicted or quarantined since the solve; nothing to push
 		}
-		if err := s.clu.PushStore(ctx, target, hex.EncodeToString(fp[:]), data); err != nil {
-			s.replicaFailed.Add(1)
-			tr.SetError("replicate: store push to " + target + ": " + err.Error())
-			return
+		if !push(fp, data) {
+			return moved
 		}
-		s.replicaPushed.Add(1)
 	}
+	return moved
 }
 
 // noteReplicaServe accounts a cache hit that was satisfied by a
@@ -212,83 +218,71 @@ func (s *Server) handleClusterLeave(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, clusterMemberWire{URL: s.clu.Self(), Members: s.clu.Members()})
 }
 
-// handleReplicaPut ingests a pushed cache entry. The body must be the
-// canonical encoding of a solve response whose embedded key equals the
-// path fingerprint — re-serialization must reproduce the bytes exactly —
-// so a corrupt or misdirected push is rejected before it can ever be
-// served. (The store artifacts carry full content-hash verification via
-// Ingest; the cache body's embedded-key + canonical-form check is the
-// strongest validation available without re-solving.)
-func (s *Server) handleReplicaPut(w http.ResponseWriter, r *http.Request) {
-	if s.clu == nil {
-		writeError(w, http.StatusNotFound, "not clustered")
-		return
-	}
-	fpHex := strings.TrimPrefix(r.URL.Path, "/v1/replica/")
-	raw, err := hex.DecodeString(fpHex)
-	if err != nil || len(raw) != 32 {
-		writeError(w, http.StatusBadRequest, "replica path %q is not a 64-hex-digit fingerprint", fpHex)
-		return
-	}
-	var key cache.Key
-	copy(key[:], raw)
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
+// handleStorePut is the one gate for state a peer pushes. Every file is
+// checked against the fingerprint its path claims before it becomes
+// visible, so a corrupt, misdirected or non-canonical push can never be
+// served or poison a future restore. A result file carries a cache entry:
+// it needs a cluster but no data directory, and goes into the cache. A
+// snapshot or session record needs a data directory and goes through
+// store.Ingest (content hash for snapshots, framing plus embedded base
+// fingerprint for session records).
+func (s *Server) handleStorePut(w http.ResponseWriter, r *http.Request) {
+	fpHex := strings.TrimPrefix(r.URL.Path, "/v1/store/")
+	what, err := s.ingestPush(fpHex, http.MaxBytesReader(w, r.Body, s.maxBody))
 	if err != nil {
 		s.replicaFailed.Add(1)
 		writeRequestError(w, err)
 		return
 	}
-	var resp SolveResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		s.replicaFailed.Add(1)
-		writeError(w, http.StatusBadRequest, "replica body: %v", err)
-		return
-	}
-	reenc, err := json.Marshal(resp)
-	if err != nil || resp.Key != fpHex || !bytes.Equal(reenc, body) {
-		s.replicaFailed.Add(1)
-		writeError(w, http.StatusBadRequest, "replica body for %s failed verification", fpHex)
-		return
-	}
-	s.storeResult(key, body)
-	s.replicated.Put(key, struct{}{})
 	s.replicaIngested.Add(1)
-	obsv.FromContext(r.Context()).Event("replica: ingested cache entry " + fpHex[:12])
+	obsv.FromContext(r.Context()).Event("replica: ingested " + what + " " + fpHex[:12])
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// handleStorePut ingests a pushed durable-store artifact through the
-// store's verify-or-quarantine path: the bytes are validated against the
-// claimed fingerprint (content hash for snapshots, framing plus embedded
-// base fingerprint for session records) before they become visible, so a
-// bad push can never poison a future restore.
-func (s *Server) handleStorePut(w http.ResponseWriter, r *http.Request) {
-	if s.store == nil {
-		writeError(w, http.StatusNotFound, "no data directory configured")
-		return
-	}
-	fpHex := strings.TrimPrefix(r.URL.Path, "/v1/store/")
+// ingestPush verifies and publishes the file body carries under fpHex and
+// names what it was; an error carries the status to answer with.
+func (s *Server) ingestPush(fpHex string, body io.Reader) (string, error) {
 	raw, err := hex.DecodeString(fpHex)
 	if err != nil || len(raw) != 32 {
-		writeError(w, http.StatusBadRequest, "store path %q is not a 64-hex-digit fingerprint", fpHex)
-		return
+		return "", badRequest("store path %q is not a 64-hex-digit fingerprint", fpHex)
 	}
 	var fp cache32
 	copy(fp[:], raw)
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
+	data, err := io.ReadAll(body)
 	if err != nil {
-		s.replicaFailed.Add(1)
-		writeRequestError(w, err)
-		return
+		return "", err
 	}
-	if _, err := s.store.Ingest(fp, data); err != nil {
-		s.replicaFailed.Add(1)
-		writeError(w, http.StatusBadRequest, "store ingest %s: %v", fpHex, err)
-		return
+	key, res, err := store.ParseResult(data)
+	if err != nil {
+		if s.store == nil {
+			return "", &apiError{status: http.StatusNotFound, msg: "no data directory configured"}
+		}
+		if _, err := s.store.Ingest(fp, data); err != nil {
+			return "", badRequest("store ingest %s: %v", fpHex, err)
+		}
+		return "store file", nil
 	}
-	s.replicaIngested.Add(1)
-	obsv.FromContext(r.Context()).Event("replica: ingested store file " + fpHex[:12])
-	w.WriteHeader(http.StatusNoContent)
+	if s.clu == nil {
+		return "", &apiError{status: http.StatusNotFound, msg: "not clustered"}
+	}
+	if key != fp {
+		return "", badRequest("result file for %s names key %x", fpHex, key)
+	}
+	// The body must be the canonical encoding of a solve response whose
+	// embedded key is the path's: re-serialization must reproduce the
+	// bytes exactly. That is the strongest check available without
+	// re-solving.
+	var resp SolveResponse
+	if err := json.Unmarshal(res, &resp); err != nil {
+		return "", badRequest("replica body: %v", err)
+	}
+	reenc, err := json.Marshal(resp)
+	if err != nil || resp.Key != fpHex || !bytes.Equal(reenc, res) {
+		return "", badRequest("replica body for %s failed verification", fpHex)
+	}
+	s.storeResult(fp, res)
+	s.replicated.Put(fp, struct{}{})
+	return "cache entry", nil
 }
 
 // watchMembership reacts to membership change: whenever the member set
@@ -339,41 +333,24 @@ func (s *Server) migrateSessions(ctx context.Context) {
 	}
 }
 
-// migrateSession streams one base's warm state to its new owner: the
-// cached response body, then the session record and the snapshots it
-// references. Partial transfers are fine — whatever arrived is verified
-// and usable, and the remainder stays reachable through the pull-side
-// handoff (/v1/store GET).
+// migrateSession streams one base's warm state to its new owner through
+// the replication push: the cached response body, then the snapshots and
+// the session record. Partial transfers are fine — whatever arrived is
+// verified and usable, and the remainder stays reachable through the
+// pull-side handoff (/v1/store GET).
 func (s *Server) migrateSession(ctx context.Context, tr *obsv.Trace, base cache.Key, owner string) bool {
-	moved := false
-	baseHex := hex.EncodeToString(base[:])
-	if body, ok := s.cache.Get(base); ok {
-		if err := s.clu.PushReplica(ctx, owner, baseHex, body); err == nil {
-			moved = true
-		} else {
-			tr.SetError("migrate: cache push to " + owner + ": " + err.Error())
+	req := replReq{key: base}
+	req.body, _ = s.cache.Get(base)
+	if s.store != nil {
+		if rec, err := s.store.LoadSession(base); err == nil {
+			req.files = []cache32{rec.R1FP, rec.R2FP, base}
 		}
 	}
-	if s.store == nil {
-		return moved
+	if !s.pushTo(ctx, tr, owner, req) {
+		return false
 	}
-	rec, err := s.store.LoadSession(base)
-	if err != nil {
-		return moved
-	}
-	for _, fp := range []cache32{rec.R1FP, rec.R2FP, base} {
-		data, _, err := s.store.ReadFile(fp)
-		if err != nil {
-			continue
-		}
-		if err := s.clu.PushStore(ctx, owner, hex.EncodeToString(fp[:]), data); err != nil {
-			tr.SetError("migrate: store push to " + owner + ": " + err.Error())
-			return moved
-		}
-		moved = true
-	}
-	tr.Event("migrate: session " + baseHex[:12] + " -> " + owner)
-	return moved
+	tr.Event("migrate: session " + hex.EncodeToString(base[:])[:12] + " -> " + owner)
+	return true
 }
 
 // Leave drains this node out of the cluster gracefully: it tombstones

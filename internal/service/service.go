@@ -12,9 +12,9 @@
 //	DELETE /v1/jobs/{id}      cancel a queued or running job
 //	POST   /v1/cluster/join   admit a member and answer with the member view
 //	POST   /v1/cluster/leave  tombstone a departing member
-//	POST   /v1/replica/{fp}   ingest a cache entry pushed by its owner
 //	GET    /v1/store/{fp}     serve a durable-store file (snapshot or session)
-//	POST   /v1/store/{fp}     ingest a pushed durable-store file
+//	POST   /v1/store/{fp}     ingest a pushed store file: a cache entry's result
+//	                          file, a snapshot or a session record
 //	GET    /healthz           liveness, and in a cluster the member view
 //	GET    /metrics           Prometheus exposition
 //	GET    /debug/flight      recent traces (?trace=<id> filters, ?format=text)
@@ -27,7 +27,9 @@
 // cache byte-identically thereafter. Concurrent requests for the same
 // instance coalesce onto a single solver run. All solver work multiplexes
 // over one shared internal/sched pool, with a bounded admission queue in
-// front of it, so N concurrent clients never oversubscribe the host.
+// front of it, so N concurrent clients never oversubscribe the host. In a
+// cluster a solved key's warm state replicates as store files through
+// POST /v1/store/{fp}, one gate that checks each against its fingerprint.
 package service
 
 import (
@@ -368,11 +370,6 @@ func (s *Server) route(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.handleClusterLeave(w, r)
-	case strings.HasPrefix(r.URL.Path, "/v1/replica/"):
-		if !wantMethod(w, r, http.MethodPost) {
-			return
-		}
-		s.handleReplicaPut(w, r)
 	case strings.HasPrefix(r.URL.Path, "/v1/store/"):
 		switch r.Method {
 		case http.MethodGet:

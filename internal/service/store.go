@@ -170,16 +170,8 @@ func (s *Server) restoreSession(base cache32) *svcSession {
 // peer that has them. Every fetched file is verified against its claimed
 // fingerprint by Ingest before it is published locally.
 func (s *Server) fetchSessionFromPeers(ctx context.Context, base cache32) bool {
-	baseHex := hex.EncodeToString(base[:])
 	for _, peer := range s.clu.UpNodes() {
-		if peer == s.clu.Self() {
-			continue
-		}
-		data, err := s.clu.FetchStore(ctx, peer, baseHex)
-		if err != nil {
-			continue
-		}
-		if _, err := s.store.Ingest(base, data); err != nil {
+		if peer == s.clu.Self() || s.pull(ctx, peer, base) != nil {
 			continue
 		}
 		rec, err := s.store.LoadSession(base)
@@ -188,26 +180,27 @@ func (s *Server) fetchSessionFromPeers(ctx context.Context, base cache32) bool {
 		}
 		complete := true
 		for _, fp := range []cache32{rec.R1FP, rec.R2FP} {
-			if _, _, err := s.store.ReadFile(fp); err == nil {
-				continue // snapshot already local (content-addressed dedup)
-			}
-			snap, ferr := s.clu.FetchStore(ctx, peer, hex.EncodeToString(fp[:]))
-			if ferr != nil {
-				complete = false
-				break
-			}
-			if _, ierr := s.store.Ingest(fp, snap); ierr != nil {
+			// A snapshot already local is not fetched again (content-addressed dedup).
+			if _, _, err := s.store.ReadFile(fp); err != nil && s.pull(ctx, peer, fp) != nil {
 				complete = false
 				break
 			}
 		}
-		if !complete {
-			continue
+		if complete {
+			s.handoffFetches.Add(1)
+			return true
 		}
-		s.handoffFetches.Add(1)
-		return true
 	}
 	return false
+}
+
+// pull fetches the store file fp names from peer and ingests it.
+func (s *Server) pull(ctx context.Context, peer string, fp cache32) error {
+	data, err := s.clu.FetchStore(ctx, peer, hex.EncodeToString(fp[:]))
+	if err == nil {
+		_, err = s.store.Ingest(fp, data)
+	}
+	return err
 }
 
 // handleStoreGet serves raw durable-store files to peers for warm handoff.

@@ -32,7 +32,7 @@ func FuzzFileFraming(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	res := encodeResult(sha256.Sum256([]byte("key")), []byte(`{"key":"k","dc_error":0}`))
+	res := EncodeResult(sha256.Sum256([]byte("key")), []byte(`{"key":"k","dc_error":0}`))
 	f.Add(snap)
 	f.Add(sess)
 	f.Add(res)
@@ -50,7 +50,7 @@ func FuzzFileFraming(f *testing.F) {
 				t.Fatalf("file kind %d: parsed image re-encodes to different bytes", kind)
 			}
 		}
-		key, body, err := parseResult(data)
+		key, body, err := ParseResult(data)
 		if err != nil {
 			return
 		}
@@ -61,7 +61,7 @@ func FuzzFileFraming(f *testing.F) {
 		if keySec, _ := findSection(secs, secResKey); !bytes.Equal(key[:], keySec) {
 			t.Fatalf("result reader yielded key %x, key section holds %x", key, keySec)
 		}
-		if !bytes.Equal(encodeResult(key, body), data) {
+		if !bytes.Equal(EncodeResult(key, body), data) {
 			t.Fatal("result file is not the encoding of the key and body it yields")
 		}
 	})

@@ -13,7 +13,9 @@ import (
 
 // Result files hold the result cache's bodies, one file per key:
 // <dir>/<key>.res with a key section and a body section, framed and
-// published like snapshots and session records.
+// published like snapshots and session records. A cache entry travels
+// between nodes in the same image: its owner pushes EncodeResult's bytes,
+// and the receiver reads them back with ParseResult.
 
 const resExt = ".res"
 
@@ -21,17 +23,18 @@ func resultPath(dir string, key [32]byte) string {
 	return filepath.Join(dir, hex.EncodeToString(key[:])+resExt)
 }
 
-func encodeResult(key [32]byte, body []byte) []byte {
+// EncodeResult returns the result file image holding body under key.
+func EncodeResult(key [32]byte, body []byte) []byte {
 	return buildFile(fileKindResult, []section{
 		{kind: secResKey, payload: key[:]},
 		{kind: secResBody, payload: body},
 	})
 }
 
-// parseResult decodes a complete result file image. A file parses only if
+// ParseResult decodes a complete result file image. A file parses only if
 // it holds exactly one 32-byte key section followed by one body section,
 // so the body it yields belongs to the key its own bytes name.
-func parseResult(data []byte) (key [32]byte, body []byte, err error) {
+func ParseResult(data []byte) (key [32]byte, body []byte, err error) {
 	secs, err := parseFile(data, fileKindResult)
 	if err != nil {
 		return key, nil, err
@@ -90,7 +93,7 @@ func OpenResultDir(dir string, fn func(key [32]byte, body []byte)) (*ResultDir, 
 		if err != nil {
 			continue
 		}
-		key, body, err := parseResult(data)
+		key, body, err := ParseResult(data)
 		if err != nil || resultPath(dir, key) != path {
 			quarantineFile(path)
 			r.quarantined++
@@ -115,7 +118,7 @@ func (r *ResultDir) Write(key [32]byte, body []byte, now time.Time) error {
 		mod = r.lastMod.Add(time.Nanosecond)
 	}
 	r.lastMod = mod
-	return atomicWriteFileAt(resultPath(r.dir, key), encodeResult(key, body), mod)
+	return atomicWriteFileAt(resultPath(r.dir, key), EncodeResult(key, body), mod)
 }
 
 // Remove deletes the result files of keys; a missing file is not an error.

@@ -307,10 +307,12 @@ func (s *Store) ReadFile(fp [32]byte) ([]byte, Kind, error) {
 	return data, KindSnapshot, nil
 }
 
-// Ingest verifies and publishes raw file bytes fetched from a peer. The
-// claimed fingerprint must match the content: for snapshots the content
+// Ingest verifies and publishes a snapshot or session record a peer sent.
+// The claimed fingerprint must match the content: for snapshots the content
 // hash, for session records the base fingerprint in the meta section.
-// Ingesting a file that already exists is a no-op.
+// Ingesting a file that already exists is a no-op. Result files are
+// refused: the result cache owns its directory and its bound, so a pushed
+// result file goes into the cache instead.
 func (s *Store) Ingest(fp [32]byte, data []byte) (Kind, error) {
 	if secs, err := parseFile(data, fileKindSnapshot); err == nil {
 		if snapshotFingerprint(secs) != fp {

@@ -14,7 +14,7 @@
 // CRC-framed file format and published by atomic rename:
 //
 //	data/cache      result-cache bodies, one file per entry (*.res)
-//	data/snapshots  content-addressed columnar relation snapshots (*.snap)
+//	data/snapshots  content-addressed relation snapshots (*.snap)
 //	data/sessions   session records: constraints, options, plan (*.sess)
 //
 // Scaling out: seed every node with -peers (or point a new node at any

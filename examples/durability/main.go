@@ -2,7 +2,7 @@
 // with a data directory solves a base instance and a warm-start delta, gets
 // kill -9'd (no graceful shutdown), and a fresh process over the same
 // directory answers the replayed delta byte-identically — zero solver runs,
-// zero cold solves — because the result cache files, the columnar relation
+// zero cold solves — because the result cache files, the relation
 // snapshots, and the session record (constraints, options, compiled plan)
 // all survived: each is published by an atomic rename, so a crash leaves
 // it whole or absent. A delta never seen before the crash also solves

@@ -85,6 +85,11 @@ func Open(dir string, maxEntries int) (*Cache, error) {
 // as read-only.
 func (c *Cache) Get(key Key) ([]byte, bool) { return c.lru.Get(key) }
 
+// Peek is Get for reads that serve no request, such as handing an entry
+// to another node: it counts neither a hit nor a miss and leaves recency
+// alone. The returned slice is read-only, as Get's is.
+func (c *Cache) Peek(key Key) ([]byte, bool) { return c.lru.Peek(key) }
+
 // Put stores val under key, evicting the least recently used entry past the
 // capacity bound, and — when persistence is on — deletes the evicted
 // entries' files and publishes key's before returning. The value bytes are

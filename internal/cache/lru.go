@@ -57,6 +57,19 @@ func (l *LRU[V]) Get(key Key) (V, bool) {
 	return el.Value.(*lruEntry[V]).val, true
 }
 
+// Peek returns the value stored under key without counting a hit or a
+// miss and without touching recency.
+func (l *LRU[V]) Peek(key Key) (V, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	el, ok := l.items[key]
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	return el.Value.(*lruEntry[V]).val, true
+}
+
 // Put stores val under key, evicting the least recently used entry past the
 // capacity bound.
 func (l *LRU[V]) Put(key Key, val V) {

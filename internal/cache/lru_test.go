@@ -44,6 +44,27 @@ func TestLRUBasics(t *testing.T) {
 	}
 }
 
+// TestLRUPeek: Peek reads an entry without counting a hit or a miss and
+// without making it recent, so the entry it read is still evicted first.
+func TestLRUPeek(t *testing.T) {
+	l := NewLRU[int](2, nil)
+	l.Put(lruKey(1), 10)
+	l.Put(lruKey(2), 20)
+	if v, ok := l.Peek(lruKey(1)); !ok || v != 10 {
+		t.Fatalf("Peek(1) = %d,%v", v, ok)
+	}
+	if _, ok := l.Peek(lruKey(9)); ok {
+		t.Fatal("Peek found a missing key")
+	}
+	if st := l.Stats(); st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("Peek counted: %+v", st)
+	}
+	l.Put(lruKey(3), 30)
+	if _, ok := l.Peek(lruKey(1)); ok {
+		t.Fatal("a peeked entry was made recent: 2 was evicted before it")
+	}
+}
+
 func TestLRUConcurrent(t *testing.T) {
 	l := NewLRU[int](32, nil)
 	var wg sync.WaitGroup

@@ -115,11 +115,16 @@ func newFPWriter() *fpWriter {
 }
 
 // flushFull hashes the buffer once it holds a full block.
-func (w *fpWriter) flushFull() {
-	if len(w.buf) >= fpBlock {
-		w.h.Write(w.buf)
-		w.buf = w.buf[:0]
+func (w *fpWriter) flushFull() { w.buf = w.drain(w.buf) }
+
+// drain hashes buf and returns it emptied once it holds a full block, and
+// returns it as it is before that.
+func (w *fpWriter) drain(buf []byte) []byte {
+	if len(buf) >= fpBlock {
+		w.h.Write(buf)
+		return buf[:0]
 	}
+	return buf
 }
 
 func (w *fpWriter) uint(v uint64) {
@@ -150,41 +155,15 @@ func (w *fpWriter) sum() [32]byte {
 	return key
 }
 
-// relation encodes name, schema and rows. Strings are length-prefixed and
-// values carry a kind tag, so no two distinct relations share an encoding.
+// relation writes r's encoding (table.AppendRelation): name, schema and
+// rows, strings length-prefixed and cells kind-tagged, so no two distinct
+// relations share one. The rows are most of it, and the appender hands the
+// buffer back after each row to be hashed a block at a time.
 func (w *fpWriter) relation(r *table.Relation) error {
 	if r == nil {
 		return fmt.Errorf("nil relation")
 	}
-	w.string(r.Name)
-	s := r.Schema()
-	w.uint(uint64(s.Len()))
-	for j := 0; j < s.Len(); j++ {
-		c := s.Col(j)
-		w.string(c.Name)
-		w.uint(uint64(c.Type))
-	}
-	w.uint(uint64(r.Len()))
-	// The rows are most of the encoding: append them through a local
-	// buffer, checking for a full block once per row.
-	buf := w.buf
-	for i := 0; i < r.Len(); i++ {
-		for _, v := range r.Row(i) {
-			buf = binary.AppendUvarint(buf, uint64(v.Kind()))
-			switch v.Kind() {
-			case table.KindInt:
-				buf = binary.AppendUvarint(buf, uint64(v.Int()))
-			case table.KindString:
-				buf = binary.AppendUvarint(buf, uint64(len(v.Str())))
-				buf = append(buf, v.Str()...)
-			}
-		}
-		if len(buf) >= fpBlock {
-			w.h.Write(buf)
-			buf = buf[:0]
-		}
-	}
-	w.buf = buf
+	w.buf = table.AppendRelation(w.buf, r, w.drain)
 	return nil
 }
 

@@ -347,6 +347,7 @@ func TestClusterMembershipChangeMigratesSessions(t *testing.T) {
 	waitFor(t, "session persisted on the old owner", func() bool {
 		return metricValue(t, a.url, "store_sessions_persisted_total") >= 1
 	})
+	hits, misses := metricValue(t, a.url, "cache_hits_total"), metricValue(t, a.url, "cache_misses_total")
 
 	if err := c.clu.JoinVia(context.Background(), a.url); err != nil {
 		t.Fatal(err)
@@ -375,6 +376,14 @@ func TestClusterMembershipChangeMigratesSessions(t *testing.T) {
 	// node here replicates, so every push A counts is a migration's.
 	if got := metricValue(t, a.url, "cluster_replica_pushed_total"); got < 4 {
 		t.Errorf("old owner replica_pushed = %d, want >= 4: the result file, two snapshots and the session record", got)
+	}
+	// Handing the body over serves no request: the old owner counts no
+	// cache hit or miss for it.
+	if got := metricValue(t, a.url, "cache_hits_total"); got != hits {
+		t.Errorf("old owner cache_hits went %d -> %d during the migration", hits, got)
+	}
+	if got := metricValue(t, a.url, "cache_misses_total"); got != misses {
+		t.Errorf("old owner cache_misses went %d -> %d during the migration", misses, got)
 	}
 
 	resp = postJSON(t, c.url+"/v1/solve", SolveRequest{Base: baseHex, Delta: warmDelta()})

@@ -340,7 +340,7 @@ func (s *Server) migrateSessions(ctx context.Context) {
 // pull-side handoff (/v1/store GET).
 func (s *Server) migrateSession(ctx context.Context, tr *obsv.Trace, base cache.Key, owner string) bool {
 	req := replReq{key: base}
-	req.body, _ = s.cache.Get(base)
+	req.body, _ = s.cache.Peek(base) // no hit: the node is giving the key away
 	if s.store != nil {
 		if rec, err := s.store.LoadSession(base); err == nil {
 			req.files = []cache32{rec.R1FP, rec.R2FP, base}

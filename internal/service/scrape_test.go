@@ -41,7 +41,7 @@ func TestMetricsGoldenScrape(t *testing.T) {
 	}
 }
 
-// goldenScrape lists the HELP and TYPE lines of the 75 families, in the
+// goldenScrape lists the HELP and TYPE lines of the 74 families, in the
 // order the scrape renders them.
 const goldenScrape = `
 # HELP linksynthd_build_info build metadata of the running binary; value is constant 1
@@ -184,12 +184,10 @@ const goldenScrape = `
 # TYPE linksynthd_store_sessions_persisted_total counter
 # HELP linksynthd_store_sessions_restored_total sessions revived from the durable store
 # TYPE linksynthd_store_sessions_restored_total counter
-# HELP linksynthd_store_snapshot_bytes bytes of columnar snapshots on disk
+# HELP linksynthd_store_snapshot_bytes bytes of relation snapshots on disk
 # TYPE linksynthd_store_snapshot_bytes gauge
-# HELP linksynthd_store_snapshots columnar snapshots resident on disk
+# HELP linksynthd_store_snapshots relation snapshots resident on disk
 # TYPE linksynthd_store_snapshots gauge
-# HELP linksynthd_store_snapshots_mapped snapshots currently memory-mapped
-# TYPE linksynthd_store_snapshots_mapped gauge
 # HELP linksynthd_uptime_seconds seconds since start
 # TYPE linksynthd_uptime_seconds gauge
 # HELP linksynthd_workers solver pool size

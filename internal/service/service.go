@@ -607,7 +607,10 @@ func (s *Server) ensureSession(key cache.Key, in core.Input, opt core.Options) *
 // session when a recent delta actually asked for this base and found none
 // (the 404 told the client to re-submit the full instance; this is that
 // re-submission arriving as a hit, e.g. after a restart with a warm disk
-// cache).
+// cache). The delta found no usable session record either, and a hit
+// never solves, so the parked session is persisted here: otherwise a base
+// whose record was lost, corrupt or names a refused snapshot would miss
+// its first delta after every restart for as long as its body is cached.
 func (s *Server) parkSessionAsync(key cache.Key, in core.Input, opt core.Options) {
 	if _, ok := s.sessions.Get(key); ok {
 		return
@@ -615,7 +618,11 @@ func (s *Server) parkSessionAsync(key cache.Key, in core.Input, opt core.Options
 	if !s.wanted.Delete(key) {
 		return
 	}
-	go s.ensureSession(key, in, opt)
+	go func() {
+		if ss := s.ensureSession(key, in, opt); ss != nil && s.store != nil {
+			s.enqueuePersist(persistReq{key: key, in: in, opt: opt, ss: ss})
+		}
+	}()
 }
 
 // writeSolveBody writes the canonical solve response. The body bytes are
@@ -1006,12 +1013,11 @@ func (s *Server) metricsExposition() string {
 	}
 	if s.store != nil {
 		st := s.store.Stats()
-		gauge("store_snapshot_bytes", st.SnapshotBytes, "bytes of columnar snapshots on disk")
+		gauge("store_snapshot_bytes", st.SnapshotBytes, "bytes of relation snapshots on disk")
 		gauge("store_session_bytes", st.SessionBytes, "bytes of session records on disk")
 		gauge("store_cache_bytes", st.CacheBytes, "bytes of result-cache files on disk")
-		gauge("store_snapshots", int64(st.Snapshots), "columnar snapshots resident on disk")
+		gauge("store_snapshots", int64(st.Snapshots), "relation snapshots resident on disk")
 		gauge("store_sessions", int64(st.Sessions), "session records resident on disk")
-		gauge("store_snapshots_mapped", st.MappedNow, "snapshots currently memory-mapped")
 		counter("store_sessions_persisted_total", s.sessionsPersisted.Load(), "parked sessions written to the durable store")
 		counter("store_sessions_restored_total", s.sessionsRestored.Load(), "sessions revived from the durable store")
 		counter("store_persist_errors_total", s.persistErrors.Load(), "session persists dropped or failed")

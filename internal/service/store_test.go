@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -213,6 +214,88 @@ func TestRestartRefusesCorruptSession(t *testing.T) {
 	}
 	if _, err := os.Stat(sessions[0]); !os.IsNotExist(err) {
 		t.Errorf("corrupt session file still at its published path (err %v)", err)
+	}
+}
+
+// TestUpgradeRevivesOldSnapshotsCold: testdata/oldsnap holds the R1 and
+// R2 snapshots of testInstance(0) as an older release wrote them, in the
+// columnar format, each under its content address. A node whose session
+// record names them refuses them on restore: the delta gets the
+// no-session 404, the snapshot is quarantined and counted, and the full
+// re-submission is served the first process's bytes. That re-submission
+// is a cache hit, and the session it parks is persisted anew, so after
+// the next restart the delta restores warm.
+func TestUpgradeRevivesOldSnapshotsCold(t *testing.T) {
+	dir := t.TempDir()
+	s1, ts1, st := newStoreServer(t, dir)
+	base, body := solveBase(t, ts1.URL)
+	ts1.Close()
+	s1.Close()
+
+	var key [32]byte
+	if _, err := hex.Decode(key[:], []byte(base.Key)); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := st.LoadSession(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, old := range []struct {
+		fp   string
+		into *[32]byte
+	}{
+		{"cfc0ac850232452462a7b1c74ab96903e303100f26c423291d47324d534b0f81", &rec.R1FP},
+		{"234ca4eb4134dcd3f78a5bbacf725fa0e8aa7da8027b2ef1c173a90c0b3f04e5", &rec.R2FP},
+	} {
+		data, err := os.ReadFile(filepath.Join("testdata", "oldsnap", old.fp+".snap"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := hex.Decode(old.into[:], []byte(old.fp)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Ingest(*old.into, data); err != nil {
+			t.Fatalf("ingest old snapshot %s: %v", old.fp[:12], err)
+		}
+	}
+	if err := st.PutSession(rec); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, ts2, _ := newStoreServer(t, dir)
+	defer func() { ts2.Close(); s2.Close() }() // both closes are idempotent
+	resp := postJSON(t, ts2.URL+"/v1/solve", SolveRequest{Base: base.Key, Delta: testDelta()})
+	readBody(t, resp)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("delta on old snapshots: status %d, want 404", resp.StatusCode)
+	}
+	if got := metricValue(t, ts2.URL, "store_corrupt_files_total"); got != 1 {
+		t.Errorf("store_corrupt_files_total = %d, want 1 (the old R1 snapshot)", got)
+	}
+	if got := metricValue(t, ts2.URL, "store_restore_errors_total"); got != 1 {
+		t.Errorf("store_restore_errors_total = %d, want 1", got)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "snapshots", hex.EncodeToString(rec.R1FP[:])+".snap.corrupt")); err != nil {
+		t.Errorf("old R1 snapshot not quarantined: %v", err)
+	}
+	resp = postJSON(t, ts2.URL+"/v1/solve", SolveRequest{InstanceJSON: testInstance(0), Options: &OptionsJSON{Seed: 1}})
+	if got := readBody(t, resp); resp.StatusCode != http.StatusOK || !bytes.Equal(got, body) {
+		t.Fatalf("full re-submission: status %d, body equal to the first process's: %v", resp.StatusCode, bytes.Equal(got, body))
+	}
+	waitFor(t, "the re-parked session persisted", func() bool {
+		return metricValue(t, ts2.URL, "store_sessions_persisted_total") == 1
+	})
+	ts2.Close()
+	s2.Close()
+
+	s3, ts3, _ := newStoreServer(t, dir)
+	defer func() { ts3.Close(); s3.Close() }()
+	resp = postJSON(t, ts3.URL+"/v1/solve", SolveRequest{Base: base.Key, Delta: testDelta()})
+	if got := readBody(t, resp); resp.StatusCode != http.StatusOK {
+		t.Fatalf("delta after the next restart: status %d: %s", resp.StatusCode, got)
+	}
+	if got := metricValue(t, ts3.URL, "store_sessions_restored_total"); got != 1 {
+		t.Errorf("store_sessions_restored_total = %d after the next restart, want 1", got)
 	}
 }
 

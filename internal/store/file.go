@@ -1,7 +1,9 @@
 // Package store is the disk-resident tier under the serving layer's warm
-// path: content-addressed columnar snapshots, persisted session records
+// path: content-addressed relation snapshots, persisted session records
 // (base instance references, constraints, compiled plan), and the result
-// cache's files, all under one data directory and in one file format.
+// cache's files, all under one data directory and in one file format. A
+// snapshot holds the relation encoding the instance fingerprint hashes
+// (table.AppendRelation), and loading one decodes it straight into rows.
 //
 // Durability follows the MOD recipe: all data files are immutable and
 // published with a single atomic flip — write to a temp file in the target
@@ -25,9 +27,9 @@ import (
 // File framing: a 16-byte header (magic, file kind, version) followed by
 // sections. Each section starts at an 8-byte-aligned offset with a 16-byte
 // header — kind, CRC-32 (IEEE) of the payload, payload length — then the
-// payload, zero-padded to the next 8-byte boundary. Aligned payloads let
-// the columnar decoder alias int64/int32 arrays straight out of a mapped
-// file.
+// payload, zero-padded to the next 8-byte boundary. No reader needs the
+// alignment any more; it stays so that the result files and session
+// records already on disk keep their bytes.
 
 var fileMagic = [8]byte{'L', 'S', 'S', 'T', 'O', 'R', '1', '\n'}
 
@@ -40,15 +42,15 @@ const (
 	fileKindResult   uint32 = 3
 )
 
-// Section kinds.
+// Section kinds. Kinds 1 and 2 held a snapshot's name and columnar blob
+// in an older format; they are never reused.
 const (
-	secSnapName     uint32 = 1 // relation name bytes
-	secSnapColumnar uint32 = 2 // table.Columnar blob
 	secSessMeta     uint32 = 3 // session record metadata
 	secSessCons     uint32 = 4 // constraint text (constraint.WriteConstraints)
 	secSessPlan     uint32 = 5 // core.Plan blob (empty when no plan)
 	secResKey       uint32 = 6 // result cache key (the file's name)
 	secResBody      uint32 = 7 // cached response body
+	secSnapRelation uint32 = 8 // relation encoding (table.AppendRelation)
 )
 
 type section struct {

@@ -56,7 +56,6 @@ type Store struct {
 
 	snapshotsPut  atomic.Uint64
 	sessionsPut   atomic.Uint64
-	mappedNow     atomic.Int64
 	corruptFiles  atomic.Uint64
 	ingestedFiles atomic.Uint64
 }
@@ -106,7 +105,7 @@ func (s *Store) sessPath(fp [32]byte) string {
 }
 
 // snapshotFingerprint is the content address of a snapshot: SHA-256 over
-// the kind- and length-prefixed section payloads. The columnar encoding is
+// the kind- and length-prefixed section payloads. The relation encoding is
 // canonical, so equal relations (same name, schema, rows) share one file.
 func snapshotFingerprint(secs []section) [32]byte {
 	h := sha256.New()
@@ -122,15 +121,15 @@ func snapshotFingerprint(secs []section) [32]byte {
 	return fp
 }
 
+// encodeSnapshot frames rel's encoding (table.AppendRelation) as the one
+// section of a snapshot file. A relation with rows but no columns has no
+// snapshot: no byte of its encoding bounds its row count, so the decoder
+// refuses it.
 func encodeSnapshot(rel *table.Relation) ([]byte, [32]byte, error) {
-	var blob strings.Builder
-	if _, err := table.EncodeColumnar(table.NewColumnar(rel), &blob); err != nil {
-		return nil, [32]byte{}, err
+	if rel.Schema().Len() == 0 && rel.Len() > 0 {
+		return nil, [32]byte{}, fmt.Errorf("store: snapshot of %s: %d rows but no columns", rel.Name, rel.Len())
 	}
-	secs := []section{
-		{kind: secSnapName, payload: []byte(rel.Name)},
-		{kind: secSnapColumnar, payload: []byte(blob.String())},
-	}
+	secs := []section{{kind: secSnapRelation, payload: table.AppendRelation(nil, rel, nil)}}
 	return buildFile(fileKindSnapshot, secs), snapshotFingerprint(secs), nil
 }
 
@@ -164,121 +163,49 @@ func (s *Store) quarantine(path string) {
 // deleted.
 func quarantineFile(path string) { os.Rename(path, path+corruptExt) }
 
-// openMapped maps (or pagewise-reads) a whole file. Callers must close the
-// returned mapping.
-func openMapped(path string) (*mapped, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	return mapFile(f, st.Size())
-}
-
-// loadSnapshotSections maps the snapshot file for fp and returns its parsed
-// sections plus the mapping (which the caller must close; section payloads
-// alias it). A framing defect or content-hash mismatch quarantines the file
-// and returns an error — a corrupt snapshot is never served.
-func (s *Store) loadSnapshotSections(fp [32]byte) ([]section, *mapped, error) {
+// readSnapshot reads the snapshot file for fp and returns its bytes and
+// sections. A framing defect or content-hash mismatch quarantines the file
+// and returns an error: a corrupt snapshot is never served.
+func (s *Store) readSnapshot(fp [32]byte) ([]byte, []section, error) {
 	path := s.snapPath(fp)
-	m, err := openMapped(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	secs, perr := parseFile(m.bytes(), fileKindSnapshot)
-	if perr == nil && snapshotFingerprint(secs) != fp {
-		perr = fmt.Errorf("store: snapshot %s: content does not match its fingerprint", filepath.Base(path))
+	secs, err := parseFile(data, fileKindSnapshot)
+	if err == nil && snapshotFingerprint(secs) != fp {
+		err = fmt.Errorf("store: snapshot %s: content does not match its fingerprint", filepath.Base(path))
 	}
-	if perr != nil {
-		m.close()
+	if err != nil {
 		s.quarantine(path)
-		return nil, nil, perr
+		return nil, nil, err
 	}
-	return secs, m, nil
+	return data, secs, nil
 }
 
-// LoadRelation reads the snapshot named by fp back into a relation. The
-// columnar payload is decoded with aliasing directly over the mapped file,
-// and the materialized relation owns its rows, so the mapping is released
-// before returning.
+// LoadRelation reads the snapshot named by fp back into a relation. A
+// snapshot whose one section is not a relation encoding, such as one in an
+// older release's format, is quarantined like a corrupt one.
 func (s *Store) LoadRelation(fp [32]byte) (*table.Relation, error) {
-	secs, m, err := s.loadSnapshotSections(fp)
+	_, secs, err := s.readSnapshot(fp)
 	if err != nil {
 		return nil, err
 	}
-	s.mappedNow.Add(1)
-	defer func() {
-		m.close()
-		s.mappedNow.Add(-1)
-	}()
-	name, err := findSection(secs, secSnapName)
+	path := s.snapPath(fp)
+	var rel *table.Relation
+	if len(secs) == 1 && secs[0].kind == secSnapRelation {
+		rel, err = table.DecodeRelation(secs[0].payload)
+	} else {
+		err = fmt.Errorf("store: snapshot %s: not one relation section", filepath.Base(path))
+	}
 	if err != nil {
+		// The CRCs and the content address hold, so the file is what was
+		// published, but not as this release encodes a relation: an older
+		// format, an encoder bug or a forged push. Never serve it.
+		s.quarantine(path)
 		return nil, err
 	}
-	blob, err := findSection(secs, secSnapColumnar)
-	if err != nil {
-		return nil, err
-	}
-	c, err := table.DecodeColumnar(blob, true)
-	if err != nil {
-		// The CRC passed but the blob is structurally invalid — an encoder
-		// bug or a deliberate corruption; either way, never serve it.
-		s.quarantine(s.snapPath(fp))
-		return nil, err
-	}
-	return c.Relation(string(name))
-}
-
-// MappedColumnar is a decoded snapshot whose arrays alias a live file
-// mapping; Close releases the mapping, after which the Columnar must not
-// be used. It is the zero-copy path for instances too large to materialize.
-type MappedColumnar struct {
-	C     *table.Columnar
-	Name  string
-	s     *Store
-	m     *mapped
-	moved atomic.Bool
-}
-
-// Close releases the underlying mapping. Safe to call twice.
-func (mc *MappedColumnar) Close() error {
-	if mc.moved.Swap(true) {
-		return nil
-	}
-	mc.s.mappedNow.Add(-1)
-	return mc.m.close()
-}
-
-// LoadColumnar opens the snapshot named by fp as a columnar view aliasing
-// the mapped file — dictionaries are materialized, but value arrays, null
-// masks, and posting lists read straight from the page cache.
-func (s *Store) LoadColumnar(fp [32]byte) (*MappedColumnar, error) {
-	secs, m, err := s.loadSnapshotSections(fp)
-	if err != nil {
-		return nil, err
-	}
-	name, err := findSection(secs, secSnapName)
-	if err != nil {
-		m.close()
-		return nil, err
-	}
-	blob, err := findSection(secs, secSnapColumnar)
-	if err != nil {
-		m.close()
-		return nil, err
-	}
-	c, err := table.DecodeColumnar(blob, mmapSupported)
-	if err != nil {
-		m.close()
-		s.quarantine(s.snapPath(fp))
-		return nil, err
-	}
-	s.mappedNow.Add(1)
-	return &MappedColumnar{C: c, Name: string(name), s: s, m: m}, nil
+	return rel, nil
 }
 
 // ReadFile returns the raw published bytes of the file addressed by fp —
@@ -292,17 +219,9 @@ func (s *Store) ReadFile(fp [32]byte) ([]byte, Kind, error) {
 		}
 		return data, KindSession, nil
 	}
-	data, err := os.ReadFile(s.snapPath(fp))
+	data, _, err := s.readSnapshot(fp)
 	if err != nil {
 		return nil, KindUnknown, err
-	}
-	secs, perr := parseFile(data, fileKindSnapshot)
-	if perr == nil && snapshotFingerprint(secs) != fp {
-		perr = fmt.Errorf("store: snapshot content does not match its fingerprint")
-	}
-	if perr != nil {
-		s.quarantine(s.snapPath(fp))
-		return nil, KindUnknown, perr
 	}
 	return data, KindSnapshot, nil
 }
@@ -382,7 +301,6 @@ type Stats struct {
 	CacheBytes    int64 // bytes on disk under cache/
 	Snapshots     int   // snapshot files resident
 	Sessions      int   // session records resident
-	MappedNow     int64 // snapshot mappings currently open
 	SnapshotsPut  uint64
 	SessionsPut   uint64
 	CorruptFiles  uint64
@@ -418,7 +336,6 @@ func (s *Store) CorruptFiles() uint64 { return s.corruptFiles.Load() }
 // Stats scans the data directory; cheap enough for a metrics scrape.
 func (s *Store) Stats() Stats {
 	st := Stats{
-		MappedNow:     s.mappedNow.Load(),
 		SnapshotsPut:  s.snapshotsPut.Load(),
 		SessionsPut:   s.sessionsPut.Load(),
 		CorruptFiles:  s.corruptFiles.Load(),

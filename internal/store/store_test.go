@@ -72,32 +72,43 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("want 2 snapshot files, have %d", st.Snapshots)
 	}
 
-	back, err := s.LoadRelation(fp1)
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		fp  [32]byte
+		rel *table.Relation
+	}{{fp1, in.R1}, {fp2, in.R2}} {
+		back, err := s.LoadRelation(c.fp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !relationsEqual(back, c.rel) {
+			t.Fatalf("loaded %s differs", c.rel.Name)
+		}
 	}
-	if !relationsEqual(back, in.R1) {
-		t.Fatal("loaded relation differs")
-	}
+}
 
-	mc, err := s.LoadColumnar(fp2)
+// TestPutRelationRefusesRowsWithoutColumns: no byte of the encoding of
+// rows without columns bounds their count, so such a snapshot is neither
+// written nor, when planted, loaded.
+func TestPutRelationRefusesRowsWithoutColumns(t *testing.T) {
+	s := mustOpen(t, t.TempDir())
+	r := table.NewRelation("z", table.NewSchema())
+	r.MustAppend()
+	if _, err := s.PutRelation(r); err == nil {
+		t.Fatal("wrote a snapshot of rows without columns")
+	}
+	if st := s.Stats(); st.Snapshots != 0 {
+		t.Fatalf("%d snapshot files after a refused put", st.Snapshots)
+	}
+	fp, err := s.PutRelation(table.NewRelation("z", table.NewSchema()))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("empty columnless relation: %v", err)
 	}
-	if mc.Name != in.R2.Name || mc.C.Len() != in.R2.Len() {
-		t.Fatal("mapped columnar shape mismatch")
+	if got, err := s.LoadRelation(fp); err != nil || got.Len() != 0 {
+		t.Fatalf("empty columnless relation loaded as %v, %v", got, err)
 	}
-	if s.Stats().MappedNow != 1 {
-		t.Fatal("mapped gauge not tracking open mapping")
-	}
-	if err := mc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := mc.Close(); err != nil { // double close is safe
-		t.Fatal(err)
-	}
-	if s.Stats().MappedNow != 0 {
-		t.Fatal("mapped gauge not released")
+	fp = plantSnapshot(t, s, table.AppendRelation(nil, r, nil))
+	if _, err := s.LoadRelation(fp); err == nil || !strings.Contains(err.Error(), "no columns") {
+		t.Fatalf("LoadRelation of rows without columns: got %v", err)
 	}
 }
 
@@ -396,33 +407,41 @@ func TestIngest(t *testing.T) {
 	}
 }
 
-// TestLoadRelationRejectsDuplicateColumn: a peer can push a snapshot whose
-// framing and content hash are sound but whose columnar blob names one
-// column twice. Ingest accepts it; loading it fails with an error, never
-// a panic, and quarantines the file.
-func TestLoadRelationRejectsDuplicateColumn(t *testing.T) {
-	r := table.NewRelation("R1", table.NewSchema(table.IntCol("aa"), table.StrCol("bb")))
-	r.MustAppend(table.Int(1), table.String("x"))
-	var blob bytes.Buffer
-	if _, err := table.EncodeColumnar(table.NewColumnar(r), &blob); err != nil {
-		t.Fatal(err)
+// plantSnapshot publishes sections of the given kinds and payloads as a
+// snapshot file under its content address, as a peer's push would: Ingest
+// checks the framing and the address, not the payloads.
+func plantSnapshot(t *testing.T, s *Store, payload []byte, kinds ...uint32) [32]byte {
+	t.Helper()
+	if len(kinds) == 0 {
+		kinds = []uint32{secSnapRelation}
 	}
-	enc := blob.Bytes()
-	i := bytes.Index(enc, []byte("bb"))
-	if i < 0 {
-		t.Fatal("second column name not in the blob")
-	}
-	copy(enc[i:], "aa")
-	secs := []section{
-		{kind: secSnapName, payload: []byte(r.Name)},
-		{kind: secSnapColumnar, payload: enc},
+	secs := make([]section, len(kinds))
+	for i, k := range kinds {
+		secs[i] = section{kind: k, payload: payload}
 	}
 	fp := snapshotFingerprint(secs)
-
-	s := mustOpen(t, t.TempDir())
 	if _, err := s.Ingest(fp, buildFile(fileKindSnapshot, secs)); err != nil {
 		t.Fatalf("ingest: %v", err)
 	}
+	return fp
+}
+
+// TestLoadRelationRejectsDuplicateColumn: a peer can push a snapshot whose
+// framing and content hash are sound but whose relation encoding names
+// one column twice. Ingest accepts it; loading it fails with an error,
+// never a panic, and quarantines the file.
+func TestLoadRelationRejectsDuplicateColumn(t *testing.T) {
+	r := table.NewRelation("R1", table.NewSchema(table.IntCol("aa"), table.StrCol("bb")))
+	r.MustAppend(table.Int(1), table.String("x"))
+	enc := table.AppendRelation(nil, r, nil)
+	i := bytes.Index(enc, []byte("bb"))
+	if i < 0 {
+		t.Fatal("second column name not in the encoding")
+	}
+	copy(enc[i:], "aa")
+
+	s := mustOpen(t, t.TempDir())
+	fp := plantSnapshot(t, s, enc)
 	before := s.CorruptFiles()
 	if _, err := s.LoadRelation(fp); err == nil || !strings.Contains(err.Error(), "duplicate column") {
 		t.Fatalf("LoadRelation: got %v, want a duplicate-column error", err)
@@ -432,5 +451,28 @@ func TestLoadRelationRejectsDuplicateColumn(t *testing.T) {
 	}
 	if _, err := s.LoadRelation(fp); err == nil {
 		t.Fatal("quarantined snapshot loaded again")
+	}
+}
+
+// TestLoadRelationRefusesOldFormat: a snapshot an older release wrote, a
+// name section (kind 1) and a columnar one (kind 2), frames and sits under
+// its content address, but is not a relation encoding. LoadRelation
+// refuses it, quarantines it and counts it, so its base revives cold.
+func TestLoadRelationRefusesOldFormat(t *testing.T) {
+	s := mustOpen(t, t.TempDir())
+	in := censusInput(10, 2)
+	enc := table.AppendRelation(nil, in.R2, nil)
+	for _, kinds := range [][]uint32{{1, 2}, {secSnapRelation, secSnapRelation}, {secSnapRelation, 2}} {
+		fp := plantSnapshot(t, s, enc, kinds...)
+		before := s.CorruptFiles()
+		if _, err := s.LoadRelation(fp); err == nil {
+			t.Fatalf("sections %v: loaded", kinds)
+		}
+		if got := s.CorruptFiles(); got != before+1 {
+			t.Fatalf("sections %v: CorruptFiles = %d, want %d", kinds, got, before+1)
+		}
+		if _, err := os.Stat(s.snapPath(fp)); !os.IsNotExist(err) {
+			t.Fatalf("sections %v: snapshot not quarantined", kinds)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 // Package table implements the relational substrate used by the rest of the
 // library: typed values, schemas, relations, conjunctive selection
-// predicates, foreign-key joins and CSV I/O.
+// predicates, foreign-key joins, CSV I/O, and the binary relation encoding
+// that instance fingerprints hash and durable snapshots hold.
 //
 // The package has a two-layer design. The mutable layer is Relation, an
 // in-memory row store of dynamically typed Values with a name-to-index

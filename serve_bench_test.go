@@ -116,8 +116,8 @@ func BenchmarkIncr(b *testing.B) {
 // BenchmarkStore measures what the first solve after a restart costs.
 // cold_start solves with no durable state; persist writes both relation
 // snapshots and the session record, as the daemon's persister does, into
-// a fresh directory so deduplication never hides a write; mapped_load
-// materializes both snapshots; warm_restart is the daemon's whole
+// a fresh directory so deduplication never hides a write; load decodes
+// both snapshots back into relations; warm_restart is the daemon's whole
 // recovery of a session (load the record and snapshots, verify the
 // fingerprint, adopt the plan, open the session) in a new store and
 // engine; restored_first_solve is such a session's first solve.
@@ -173,7 +173,7 @@ func BenchmarkStore(b *testing.B) {
 		check(b, err)
 	})
 	benchShape(b, "persist", func(b *testing.B, i int) { persist(b, fmt.Sprint("p", i)) })
-	benchShape(b, "mapped_load", func(b *testing.B, _ int) { relations(b, open(b), rec) })
+	benchShape(b, "load", func(b *testing.B, _ int) { relations(b, open(b), rec) })
 	benchShape(b, "warm_restart", func(b *testing.B, _ int) { restore(b) })
 	benchShape(b, "restored_first_solve", func(b *testing.B, _ int) {
 		b.StopTimer()

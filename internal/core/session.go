@@ -12,13 +12,13 @@ import (
 
 // SessionState is the warm state a solver session retains between solves:
 // the compiled problem (columnar snapshot, bound constraints, combo tables,
-// classification artifacts) and the phase-2 memos of recent solves
-// (per-partition colorings plus the fresh-key trace needed to replay
-// them). Several memos are kept because what-if traffic alternates deltas
-// against one base: a bound nudge followed by a row edit reverts the
-// nudge, and the partitions then match the solve before last, not the
-// last. It is an opaque box owned by one session; it is NOT safe for
-// concurrent use — callers serialize solves per session.
+// classification artifacts, the last Algorithm 1 program) and the phase-2
+// memos of recent solves (per-partition colorings plus the fresh-key trace
+// needed to replay them). Several memos are kept because what-if traffic
+// alternates deltas against one base: a bound nudge followed by a row edit
+// reverts the nudge, and the partitions then match the solve before last,
+// not the last. It is an opaque box owned by one session; it is NOT safe
+// for concurrent use — callers serialize solves per session.
 type SessionState struct {
 	p     *prob
 	memos []*solveMemo // front = most recent solve
@@ -70,7 +70,9 @@ var errSpliceDiverged = errors.New("core: spliced partition diverged from fresh-
 // the declared changes instead of rebuilt — the columnar snapshot keeps its
 // untouched columns, bound constraints and combo tables survive, and the
 // pairwise CC classification (with the hybrid split and Hasse forest) is
-// never recomputed. Phase 2 then splices partition colorings from the
+// never recomputed. Phase I reuses the kept Algorithm 1 program and its
+// solution when the same rows are unfilled and the targets of the CCs it
+// models are unchanged. Phase 2 then splices partition colorings from the
 // retained memos wherever a partition is provably identical: same combo,
 // same size, equal DC-referenced column values position by position (the
 // complete input of the coloring), and an unchanged fresh-key state when
@@ -197,10 +199,14 @@ func (p *prob) compatible(in Input, opt Options) bool {
 // re-bound, the DC candidate bitsets are repaired for exactly the changed
 // rows, and the phase-1 fill state is reset. Classification artifacts
 // (rel, split, forest) survive untouched — they depend only on predicates.
+// The kept Algorithm 1 program survives only when no R1 row changed.
 func (p *prob) applyChanges(in Input, opt Options, stat *Stats, ch Changes) error {
 	oldLen := p.vjoin.Len()
 	newLen := in.R1.Len()
 	p.in, p.opt, p.stat = in, opt, stat
+	if len(ch.DirtyRows) > 0 || newLen != oldLen {
+		p.program = nil // its bins and rows were built from R1's rows
+	}
 
 	// 1. Row shape: truncate or append V_Join rows to mirror R1.
 	if newLen < oldLen {

@@ -243,6 +243,11 @@ type prob struct {
 	capture  bool         // record a solveMemo during phase 2
 	priors   []*solveMemo // retained memos to splice from, newest first
 	captured *solveMemo   // memo recorded by the current run
+
+	// program is the Algorithm 1 program of the last run, which the next
+	// run reuses when it fits (phase1_ilp.go); nil when none was built, a
+	// TimeLimit was set, or an R1 row changed since.
+	program *ilpProgram
 }
 
 // hybridSplitState caches the hybrid's S1/S2 split and the S1 Hasse forest.

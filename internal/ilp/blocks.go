@@ -130,12 +130,6 @@ func Split(p *Problem) []Block {
 // is the weakest block status.
 func SolveBlocks(p *Problem, opt Options, run Runner) (*Solution, error) {
 	blocks := Split(p)
-	if len(blocks) == 0 {
-		return &Solution{Status: StatusOptimal, X: make([]int64, p.NumVars)}, nil
-	}
-	if len(blocks) == 1 && len(blocks[0].Vars) == p.NumVars {
-		return Solve(p, opt)
-	}
 	budgets := blockBudgets(opt.TimeLimit, blocks)
 	sols := make([]*Solution, len(blocks))
 	errs := make([]error, len(blocks))

@@ -2,8 +2,9 @@
 // reusable plan (the compiled, data-independent problem structure, keyed by
 // core.StructuralFingerprint and cached in an LRU) and a warm session that
 // re-solves small deltas — a CC bound nudged, rows edited or appended —
-// against the retained compiled problem, splicing untouched phase-2
-// partitions from the previous solve.
+// against the retained compiled problem, reusing the phase-1 integer
+// program's solution when a delta leaves that program unchanged and
+// splicing untouched phase-2 partitions from the previous solve.
 //
 // The correctness contract is strict: every warm or delta solve produces a
 // Result byte-identical to a cold core.Solve of the equivalent patched
@@ -21,6 +22,7 @@ package incr
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -150,6 +152,13 @@ type Session struct {
 	baseData   *core.FingerprintCheckpoint // the base's fingerprint after its relations; built on first use
 	sfp        [32]byte
 	solved     bool
+
+	// resumedTargets and resumedKey hold resumeFingerprint's last answer.
+	// A resumed key depends on nothing but the CC targets, since the
+	// checkpoint, predicates, DCs and options are fixed for the session,
+	// so a delta keyed before its solve is not hashed again after it.
+	resumedTargets []int64
+	resumedKey     [32]byte
 }
 
 // Open validates the instance, compiles (or fetches) its structural plan,
@@ -313,8 +322,14 @@ func (s *Session) PatchedFingerprint(d Delta) ([32]byte, error) {
 // resumeFingerprint returns the fingerprint of the base instance with its
 // CCs replaced by ccs, from the checkpoint of the base's data part. The
 // checkpoint is built on first use, from the working copy when it carries
-// no row change, else from a clone rebuilt to the base.
+// no row change, else from a clone rebuilt to the base. The last key is
+// remembered with its targets.
 func (s *Session) resumeFingerprint(ccs []constraint.CC) ([32]byte, error) {
+	if s.resumedTargets != nil && slices.EqualFunc(ccs, s.resumedTargets, func(cc constraint.CC, t int64) bool {
+		return cc.Target == t
+	}) {
+		return s.resumedKey, nil
+	}
 	if s.baseData == nil {
 		in := s.work
 		if len(s.overlay) > 0 || in.R1.Len() > s.baseLen {
@@ -326,7 +341,16 @@ func (s *Session) resumeFingerprint(ccs []constraint.CC) ([32]byte, error) {
 		}
 		s.baseData = &cp
 	}
-	return s.baseData.Resume(ccs, s.work.DCs, s.opt)
+	key, err := s.baseData.Resume(ccs, s.work.DCs, s.opt)
+	if err != nil {
+		return key, err
+	}
+	s.resumedTargets = s.resumedTargets[:0]
+	for _, cc := range ccs {
+		s.resumedTargets = append(s.resumedTargets, cc.Target)
+	}
+	s.resumedKey = key
+	return key, nil
 }
 
 // baseR1Clone returns a copy of the base instance's R1, rebuilt from the

@@ -1,14 +1,17 @@
 package incr
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/census"
 	"repro/internal/constraint"
 	"repro/internal/core"
+	"repro/internal/obsv"
 	"repro/internal/table"
 )
 
@@ -32,11 +35,59 @@ func resultFingerprint(res *core.Result) [3]string {
 
 func censusInstance(hh, nCC int, seed int64) core.Input {
 	d := census.Generate(census.Config{Households: hh, Areas: 6, Seed: seed})
+	return censusInput(d, d.GoodCCs(nCC))
+}
+
+// censusBadInstance is censusInstance with intersecting CCs (S_bad_CC), of
+// which the hybrid sends most to Algorithm 1.
+func censusBadInstance(hh, nCC int, seed int64) core.Input {
+	d := census.Generate(census.Config{Households: hh, Areas: 6, Seed: seed})
+	return censusInput(d, d.BadCCs(nCC))
+}
+
+func censusInput(d *census.Data, ccs []constraint.CC) core.Input {
 	return core.Input{
 		R1: d.Persons, R2: d.Housing,
 		K1: "pid", K2: "hid", FK: "hid",
-		CCs: d.GoodCCs(nCC), DCs: census.AllDCs(),
+		CCs: ccs, DCs: census.AllDCs(),
 	}
+}
+
+// canonicalStats zeroes the Stats fields a response body zeroes: the
+// timings and the warm-state reuse flags. What is left must not depend on
+// whether a solve ran warm or cold.
+func canonicalStats(st core.Stats) core.Stats {
+	st.Pairwise, st.Recursion, st.ILPTime, st.Coloring = 0, 0, 0, 0
+	st.Phase1, st.Phase2, st.Total = 0, 0, 0
+	st.PlanReused, st.ProbReused, st.SplicedPartitions = false, false, 0
+	return st
+}
+
+// solveRouted is a cold solve that also reports the CCs it routed to
+// Algorithm 2 (hasse) and to Algorithm 1 (ilp), read off its explain
+// report.
+func solveRouted(t testing.TB, in core.Input, opt core.Options) (res *core.Result, hasse, ilp []int) {
+	t.Helper()
+	tr := obsv.NewTrace("routes", "solve", "")
+	tr.RequestExplain()
+	res, err := core.SolveOnContext(obsv.WithTrace(context.Background(), tr), in, opt, nil)
+	if err != nil {
+		t.Fatalf("cold solve: %v", err)
+	}
+	for _, cc := range tr.Explain().CCs {
+		switch cc.Route {
+		case "hasse":
+			hasse = append(hasse, cc.Index)
+		case "ilp":
+			ilp = append(ilp, cc.Index)
+		}
+	}
+	return res, hasse, ilp
+}
+
+// nudgedTarget moves CC i's target by up to 3 either way, never below 0.
+func nudgedTarget(rng *rand.Rand, base core.Input, i int) int64 {
+	return max(0, base.CCs[i].Target+int64(rng.Intn(7)-3))
 }
 
 // applyDeltaCold materializes base∘d as a fresh input for the cold oracle.
@@ -65,11 +116,7 @@ func randomDelta(rng *rand.Rand, base core.Input) Delta {
 		d.CCTargets = map[int]int64{}
 		for k := 0; k < 1+rng.Intn(3) && len(base.CCs) > 0; k++ {
 			i := rng.Intn(len(base.CCs))
-			t := base.CCs[i].Target + int64(rng.Intn(7)-3)
-			if t < 0 {
-				t = 0
-			}
-			d.CCTargets[i] = t
+			d.CCTargets[i] = nudgedTarget(rng, base, i)
 		}
 	}
 	if rng.Intn(2) == 0 && base.R1.Len() > 0 {
@@ -98,9 +145,12 @@ func randomDelta(rng *rand.Rand, base core.Input) Delta {
 
 // TestSessionDeltaEquivalence is the golden-equivalence property test: for
 // a grid of instances, modes, and seeds, a warm session chased through
-// randomized deltas must produce results byte-identical to cold solves of
-// the equivalent patched inputs — including re-solving the base between
-// deltas (the rebase path).
+// deltas must produce results byte-identical to cold solves of the
+// equivalent patched inputs, with equal canonical Stats — including
+// re-solving the base between deltas (the rebase path). The deltas nudge a
+// Hasse-routed CC, then an ILP-routed one, then draw random nudges, edits
+// and appends; the intersecting CCs of the bad instance put most of its
+// set in Algorithm 1's program, which a session keeps across solves.
 func TestSessionDeltaEquivalence(t *testing.T) {
 	instances := []struct {
 		name string
@@ -109,6 +159,7 @@ func TestSessionDeltaEquivalence(t *testing.T) {
 		{"census-40x16", censusInstance(40, 16, 11)},
 		{"census-60x24", censusInstance(60, 24, 7)},
 		{"census-30x8", censusInstance(30, 8, 3)},
+		{"census-bad-60x40", censusBadInstance(60, 40, 7)},
 	}
 	modes := []struct {
 		name string
@@ -138,16 +189,25 @@ func TestSessionDeltaEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("session solve: %v", err)
 					}
-					coldBase, err := core.Solve(inst.in, opt)
-					if err != nil {
-						t.Fatalf("cold solve: %v", err)
-					}
+					coldBase, hasse, ilp := solveRouted(t, inst.in, opt)
 					if resultFingerprint(warmBase) != resultFingerprint(coldBase) {
 						t.Fatalf("base session solve differs from cold solve")
 					}
+					if canonicalStats(warmBase.Stats) != canonicalStats(coldBase.Stats) {
+						t.Fatalf("base session stats %+v, cold %+v", warmBase.Stats, coldBase.Stats)
+					}
 
+					var deltas []Delta
+					for _, ccs := range [][]int{hasse, ilp} {
+						if len(ccs) > 0 {
+							i := ccs[rng.Intn(len(ccs))]
+							deltas = append(deltas, Delta{CCTargets: map[int]int64{i: nudgedTarget(rng, inst.in, i)}})
+						}
+					}
 					for round := 0; round < 4; round++ {
-						d := randomDelta(rng, inst.in)
+						deltas = append(deltas, randomDelta(rng, inst.in))
+					}
+					for round, d := range deltas {
 						warm, _, err := sess.Resolve(d)
 						if err != nil {
 							t.Fatalf("round %d: session resolve: %v", round, err)
@@ -159,6 +219,9 @@ func TestSessionDeltaEquivalence(t *testing.T) {
 						if resultFingerprint(warm) != resultFingerprint(cold) {
 							t.Fatalf("round %d: delta solve differs from cold solve (delta %+v)", round, d)
 						}
+						if canonicalStats(warm.Stats) != canonicalStats(cold.Stats) {
+							t.Fatalf("round %d: delta stats %+v, cold %+v (delta %+v)", round, warm.Stats, cold.Stats, d)
+						}
 					}
 
 					// Rebase back to the base instance: still identical.
@@ -168,6 +231,9 @@ func TestSessionDeltaEquivalence(t *testing.T) {
 					}
 					if resultFingerprint(warmAgain) != resultFingerprint(coldBase) {
 						t.Fatalf("re-solved base differs from cold solve")
+					}
+					if canonicalStats(warmAgain.Stats) != canonicalStats(coldBase.Stats) {
+						t.Fatalf("re-solved base stats %+v, cold %+v", warmAgain.Stats, coldBase.Stats)
 					}
 				})
 			}
@@ -203,6 +269,70 @@ func TestSessionSplices(t *testing.T) {
 		t.Errorf("delta solve spliced no partitions (of %d)", res.Stats.Partitions)
 	}
 	t.Logf("spliced %d of %d partitions", res.Stats.SplicedPartitions, res.Stats.Partitions)
+}
+
+// TestSessionReusesILP is TestSessionSplices for phase I, read off each
+// solve's trace: after the base solve builds Algorithm 1's program, a
+// target nudge of a Hasse-routed CC that leaves the same rows unfilled
+// keeps the program and its solution, while a nudge of an ILP-routed CC,
+// an edit and an append each rebuild it.
+func TestSessionReusesILP(t *testing.T) {
+	in := censusBadInstance(60, 40, 7)
+	opt := core.Options{Seed: 1}
+	// On this instance a nudge of CC 2 leaves the same rows unfilled; one
+	// that moves the fill, as one of CC 1 does, rebuilds the program.
+	const hasseCC, ilpCC = 2, 6
+	_, hasse, ilp := solveRouted(t, in, opt)
+	if !slices.Contains(hasse, hasseCC) || !slices.Contains(ilp, ilpCC) {
+		t.Fatalf("routes moved: hasse %v, ilp %v; pick CCs anew", hasse, ilp)
+	}
+	sess, err := NewEngine(4).Open(in, opt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// ilpEvent resolves d and returns the solve's one Algorithm 1 event.
+	ilpEvent := func(name string, d Delta) string {
+		t.Helper()
+		tr := obsv.NewTrace("reuse", "delta", "")
+		if _, _, err := sess.ResolveContext(obsv.WithTrace(context.Background(), tr), d); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var got []string
+		for _, ev := range tr.Snapshot().Events {
+			if strings.HasPrefix(ev.Msg, "ilp: ") {
+				got = append(got, ev.Msg)
+			}
+		}
+		if len(got) != 1 {
+			t.Fatalf("%s: Algorithm 1 events %q, want one", name, got)
+		}
+		return got[0]
+	}
+	const kept, built = "ilp: program kept", "ilp: program built"
+	if got := ilpEvent("base", Delta{}); got != built {
+		t.Fatalf("base: %q, want %q", got, built)
+	}
+	for _, step := range []struct {
+		name string
+		d    Delta
+		want string
+	}{
+		{"hasse nudge", Delta{CCTargets: map[int]int64{hasseCC: in.CCs[hasseCC].Target + 1}}, kept},
+		// The rebase restores the Hasse CC, and this edit leaves the same
+		// rows unfilled: only the dirty row tells that the program's bins
+		// no longer hold (the kept solution would fill it wrongly).
+		{"edit", Delta{R1Edits: []CellEdit{{Row: 15, Col: "Age", Val: table.Int(3)}}}, built},
+		{"append", Delta{R1Appends: [][]table.Value{
+			{table.Int(800001), table.String("Member"), table.Int(41), table.Int(1), table.Null()},
+		}}, built},
+		{"ilp nudge", Delta{CCTargets: map[int]int64{ilpCC: in.CCs[ilpCC].Target + 1}}, built},
+		{"same targets", Delta{CCTargets: map[int]int64{ilpCC: in.CCs[ilpCC].Target + 1}}, kept},
+		{"ilp nudge again", Delta{CCTargets: map[int]int64{ilpCC: in.CCs[ilpCC].Target + 2}}, built},
+	} {
+		if got := ilpEvent(step.name, step.d); got != step.want {
+			t.Errorf("%s: %q, want %q", step.name, got, step.want)
+		}
+	}
 }
 
 // TestPlanCacheHit: two sessions over structurally identical instances with
@@ -371,21 +501,31 @@ func TestPatchedFingerprint(t *testing.T) {
 // PatchedFingerprint, Resolve and a cold fingerprint of the patched
 // instance. The session either asks PatchedFingerprint first, as the
 // serving layer does, or resolves first, so that either call can be the
-// one that builds the checkpoint.
+// one that builds the checkpoint. The session remembers its last resumed
+// key, so target deltas then alternate, with an edit between them: a key
+// remembered for one target vector must never answer another.
 func TestPatchedFingerprintSequence(t *testing.T) {
 	base := censusInstance(40, 12, 7)
 	opt := core.Options{Seed: 5}
+	edit := Delta{R1Edits: []CellEdit{{Row: 3, Col: "Age", Val: table.Int(61)}, {Row: 0, Col: "Rel", Val: table.String("Child")}}}
+	targetsA := Delta{CCTargets: map[int]int64{1: base.CCs[1].Target + 2}}
+	targetsB := Delta{CCTargets: map[int]int64{0: base.CCs[0].Target + 1, 2: 0}}
 	steps := []struct {
 		name string
 		d    Delta
 	}{
-		{"edit", Delta{R1Edits: []CellEdit{{Row: 3, Col: "Age", Val: table.Int(61)}, {Row: 0, Col: "Rel", Val: table.String("Child")}}}},
-		{"targets after edit", Delta{CCTargets: map[int]int64{1: base.CCs[1].Target + 2}}},
+		{"edit", edit},
+		{"targets after edit", targetsA},
 		{"append", Delta{R1Appends: [][]table.Value{
 			{table.Int(700001), table.String("Member"), table.Int(41), table.Int(1), table.Null()},
 		}}},
-		{"targets after append", Delta{CCTargets: map[int]int64{0: base.CCs[0].Target + 1, 2: 0}}},
+		{"targets after append", targetsB},
 		{"zero", Delta{}},
+		{"targets A", targetsA},
+		{"targets B", targetsB},
+		{"edit between", edit},
+		{"targets B after edit", targetsB},
+		{"targets A after B", targetsA},
 	}
 	for _, patchedFirst := range []bool{true, false} {
 		s, err := NewEngine(8).Open(base, opt, nil)

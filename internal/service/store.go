@@ -133,13 +133,11 @@ func (s *Server) restoreSession(base cache32) *svcSession {
 	if err != nil {
 		return nil // missing, or corrupt (quarantined and counted by the store)
 	}
-	r1, err := s.store.LoadRelation(rec.R1FP)
-	if err != nil {
-		s.restoreFails.Add(1)
-		return nil
-	}
-	r2, err := s.store.LoadRelation(rec.R2FP)
-	if err != nil {
+	// Both snapshots are loaded before either refusal counts, so a refused
+	// R2 is quarantined beside a refused R1 instead of staying in place.
+	r1, err1 := s.store.LoadRelation(rec.R1FP)
+	r2, err2 := s.store.LoadRelation(rec.R2FP)
+	if err1 != nil || err2 != nil {
 		s.restoreFails.Add(1)
 		return nil
 	}

@@ -221,10 +221,11 @@ func TestRestartRefusesCorruptSession(t *testing.T) {
 // R2 snapshots of testInstance(0) as an older release wrote them, in the
 // columnar format, each under its content address. A node whose session
 // record names them refuses them on restore: the delta gets the
-// no-session 404, the snapshot is quarantined and counted, and the full
-// re-submission is served the first process's bytes. That re-submission
-// is a cache hit, and the session it parks is persisted anew, so after
-// the next restart the delta restores warm.
+// no-session 404, both snapshots are quarantined and counted, and the
+// full re-submission is served the first process's bytes. That
+// re-submission is a cache hit, and the session it parks is persisted
+// anew, so the store then holds just its two new snapshots, and after the
+// next restart the delta restores warm.
 func TestUpgradeRevivesOldSnapshotsCold(t *testing.T) {
 	dir := t.TempDir()
 	s1, ts1, st := newStoreServer(t, dir)
@@ -269,14 +270,16 @@ func TestUpgradeRevivesOldSnapshotsCold(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("delta on old snapshots: status %d, want 404", resp.StatusCode)
 	}
-	if got := metricValue(t, ts2.URL, "store_corrupt_files_total"); got != 1 {
-		t.Errorf("store_corrupt_files_total = %d, want 1 (the old R1 snapshot)", got)
+	if got := metricValue(t, ts2.URL, "store_corrupt_files_total"); got != 2 {
+		t.Errorf("store_corrupt_files_total = %d, want 2 (the old R1 and R2 snapshots)", got)
 	}
 	if got := metricValue(t, ts2.URL, "store_restore_errors_total"); got != 1 {
 		t.Errorf("store_restore_errors_total = %d, want 1", got)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "snapshots", hex.EncodeToString(rec.R1FP[:])+".snap.corrupt")); err != nil {
-		t.Errorf("old R1 snapshot not quarantined: %v", err)
+	for name, fp := range map[string][32]byte{"R1": rec.R1FP, "R2": rec.R2FP} {
+		if _, err := os.Stat(filepath.Join(dir, "snapshots", hex.EncodeToString(fp[:])+".snap.corrupt")); err != nil {
+			t.Errorf("old %s snapshot not quarantined: %v", name, err)
+		}
 	}
 	resp = postJSON(t, ts2.URL+"/v1/solve", SolveRequest{InstanceJSON: testInstance(0), Options: &OptionsJSON{Seed: 1}})
 	if got := readBody(t, resp); resp.StatusCode != http.StatusOK || !bytes.Equal(got, body) {
@@ -285,6 +288,9 @@ func TestUpgradeRevivesOldSnapshotsCold(t *testing.T) {
 	waitFor(t, "the re-parked session persisted", func() bool {
 		return metricValue(t, ts2.URL, "store_sessions_persisted_total") == 1
 	})
+	if got := metricValue(t, ts2.URL, "store_snapshots"); got != 2 {
+		t.Errorf("store_snapshots = %d after the re-parked session persisted, want 2", got)
+	}
 	ts2.Close()
 	s2.Close()
 

@@ -38,13 +38,13 @@
 // carry a "base" fingerprint plus "delta" for an incremental warm-start
 // re-solve against a retained session — see -sessions), POST /v1/batch
 // (async, returns a job id), GET /v1/jobs (list), GET /v1/jobs/{id},
-// DELETE /v1/jobs/{id} (cancel), GET /healthz, GET /metrics, GET
-// /debug/flight (recent traces — see -flight-entries). Between nodes:
-// GET and POST /v1/store/{fingerprint} (warm state pulled, or pushed
-// through one verify gate), POST /v1/cluster/join and /v1/cluster/leave,
-// GET /debug/cluster (every member's /metrics merged) and GET
-// /debug/trace/{id} (one trace across members). See the repository README
-// for request shapes and curl examples.
+// DELETE /v1/jobs/{id} (cancel), GET /healthz, GET /metrics (?format=json
+// for JSON), GET /debug/flight (recent traces — see -flight-entries).
+// Between nodes: GET and POST /v1/store/{fingerprint} (warm state pulled,
+// or pushed through one verify gate), POST /v1/cluster/join and
+// /v1/cluster/leave, GET /debug/cluster (every member's metric families,
+// fetched as JSON and merged) and GET /debug/trace/{id} (one trace across
+// members). See the repository README for request shapes and curl examples.
 //
 // Observability: every API request runs under a trace (X-Linksynth-Trace,
 // echoed on the response and propagated across cluster hops), /metrics

@@ -75,11 +75,11 @@ const (
 	// maxPushReply bounds the reply to a store push: nothing on success,
 	// an error message otherwise.
 	maxPushReply = 4 << 10
-	// maxDebugBody bounds one telemetry fetch: a /metrics scrape (about
-	// 16 KiB per node) or one trace's flight records (a few KiB each,
-	// plus about 200 bytes per constraint when the trace carries an
-	// explain report). 16 MiB covers explain reports over some 80,000
-	// constraints.
+	// maxDebugBody bounds one telemetry fetch: a /metrics?format=json
+	// reply (about 9 KiB per node) or one trace's flight records (a few
+	// KiB each, plus about 200 bytes per constraint when the trace
+	// carries an explain report). 16 MiB covers explain reports over some
+	// 80,000 constraints.
 	maxDebugBody = 16 << 20
 )
 

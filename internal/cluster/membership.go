@@ -58,19 +58,24 @@ func (c *Cluster) maxEpochLocked() uint64 {
 	return max
 }
 
+// maxGossipEpoch bounds the epochs Merge accepts. Joins, leaves and
+// rebuttals stamp one past the highest epoch seen, which a fact near 2^64
+// would wrap to 0; below this bound a rebuttal stays below 2^63.
+const maxGossipEpoch = 1<<63 - 1
+
 // Merge folds a remote member view into the local one (LWW by epoch,
 // tombstone wins ties) and returns whether anything changed. Newly
 // learned members start optimistically up, exactly like seed peers. If
 // the remote view tombstones this node at an epoch >= our own — someone
 // declared us dead while we are demonstrably alive — we re-announce
 // ourselves at a higher epoch, and the next gossip cycle spreads the
-// correction.
+// correction. Facts at or above maxGossipEpoch are ignored.
 func (c *Cluster) Merge(members []Member) bool {
 	c.mu.Lock()
 	changed := false
 	for _, m := range members {
 		u, err := normalizeURL(m.URL)
-		if err != nil {
+		if err != nil || m.Epoch >= maxGossipEpoch {
 			continue
 		}
 		if u == c.self {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -107,6 +108,96 @@ func TestSelfTombstoneIsRebutted(t *testing.T) {
 			}
 		}
 	}
+}
+
+// A gossiped fact at the top of the epoch range is ignored: a rebuttal or
+// a join stamps one past the highest epoch seen, which would wrap to 0 and
+// sit below the facts that stamp must outrank.
+func TestMergeIgnoresEpochsPastTheBound(t *testing.T) {
+	c, err := New(Config{Self: "http://a:1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Merge([]Member{
+		{URL: "http://a:1", Epoch: math.MaxUint64, Left: true},
+		{URL: "http://b:1", Epoch: math.MaxUint64},
+		{URL: "http://c:1", Epoch: maxGossipEpoch - 1, Left: true},
+	})
+	if _, err := c.Join("http://d:1"); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range c.Members() {
+		switch {
+		case m.Epoch >= 1<<63:
+			t.Errorf("%s at epoch %d, at or past 2^63", m.URL, m.Epoch)
+		case m.URL == "http://a:1" && m.Left:
+			t.Error("self took a tombstone past the bound")
+		case m.URL == "http://b:1":
+			t.Error("learned a member from a fact past the bound")
+		case m.URL == "http://d:1" && m.Epoch <= maxGossipEpoch-1:
+			t.Errorf("joined member stamped at epoch %d, not above the highest seen", m.Epoch)
+		}
+	}
+
+	// The highest tombstone of self that is accepted is rebutted below 2^63.
+	c, err = New(Config{Self: "http://a:1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Merge([]Member{{URL: "http://a:1", Epoch: maxGossipEpoch - 1, Left: true}})
+	if m := c.Members()[0]; m.Left || m.Epoch != maxGossipEpoch {
+		t.Errorf("self after the rebuttal: %+v, want live at epoch %d", m, uint64(maxGossipEpoch))
+	}
+}
+
+// FuzzMemberMerge feeds any bytes to the gossip view a /healthz probe
+// reads. A merge must not panic and must keep every epoch below 2^63;
+// merging the same view again changes nothing; and a member joined
+// afterwards is stamped above every epoch in the view.
+func FuzzMemberMerge(f *testing.F) {
+	for _, seed := range []string{
+		`{"members":[{"url":"http://a:1","epoch":3},{"url":"http://b:1","epoch":2,"left":true}]}`,
+		`{"members":[{"url":"http://self:1","epoch":5,"left":true},{"url":"http://self:1","epoch":9}]}`,
+		`{"members":[{"url":"http://self:1","epoch":18446744073709551615,"left":true},{"url":"http://d:1","epoch":9223372036854775806}]}`,
+		`{"members":[{"url":"b:1","epoch":1},{"url":"HTTP://B:1/","epoch":1,"left":true},{"url":"","epoch":0}]}`,
+		`{"status":"ok"}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var hz probeHealthz
+		if json.Unmarshal(body, &hz) != nil {
+			return
+		}
+		c, err := New(Config{Self: "http://self:1", Peers: []string{"http://a:1"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Merge(hz.Members)
+		top, fresh := uint64(0), true
+		for _, m := range c.Members() {
+			if m.Epoch >= 1<<63 {
+				t.Fatalf("%s at epoch %d, at or past 2^63", m.URL, m.Epoch)
+			}
+			top = max(top, m.Epoch)
+			fresh = fresh && !(m.URL == "http://z:1" && !m.Left)
+		}
+		if c.Merge(hz.Members) {
+			t.Fatal("merging the same view twice reported a change")
+		}
+		if !fresh {
+			return
+		}
+		view, err := c.Join("http://z:1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range view {
+			if m.URL == "http://z:1" && m.Epoch <= top {
+				t.Fatalf("joined member stamped at epoch %d, not above %d", m.Epoch, top)
+			}
+		}
+	})
 }
 
 // gossipNode is a cluster member with just enough HTTP surface for the

@@ -6,15 +6,15 @@ import (
 	"net/http"
 )
 
-// FetchDebug GETs a read-only telemetry path ("/metrics", "/debug/flight?
-// trace=...") from a cluster member and returns its body. It powers the
-// /debug/cluster and /debug/trace fan-outs: those handlers ask every
-// member for its *local* view and merge, so the fetched paths are
-// leaf-only and cannot recurse. Non-2xx statuses are errors — a member
-// that answers garbage is as unreachable as one that does not answer.
-// Transport failures feed the same liveness observation as forwarding, so
-// a dead member found during a telemetry sweep is marked down like any
-// other.
+// FetchDebug GETs a read-only telemetry path ("/metrics?format=json",
+// "/debug/flight?trace=...") from a cluster member and returns its body.
+// It powers the /debug/cluster and /debug/trace fan-outs: those handlers
+// ask every member for its *local* view and merge, so the fetched paths
+// are leaf-only and cannot recurse. Non-2xx statuses are errors; the
+// fan-out lists a member down for one of those, or for a body it cannot
+// decode. Transport failures feed the same liveness observation as
+// forwarding, so a dead member found during a telemetry sweep is marked
+// down like any other.
 func (c *Cluster) FetchDebug(ctx context.Context, node, path string) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, node+path, nil)
 	if err != nil {

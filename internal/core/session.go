@@ -42,13 +42,12 @@ func (st *SessionState) Warm() bool { return st != nil && st.p != nil }
 // not a diff: the caller (the incremental engine) guarantees that nothing
 // outside the declared changes differs — same relations (R1 mutated only in
 // the declared rows/columns, R2 untouched), same constraint predicates
-// (CC targets may differ), same options. Declaring too little breaks the
+// (CC targets may differ undeclared: every solve reads them afresh), same
+// options. Declaring too little breaks the
 // byte-identity guarantee; declaring too much only costs performance.
 type Changes struct {
 	// Full forces a cold rebuild (unknown provenance).
 	Full bool
-	// CCTargets marks that some CC targets changed (predicates identical).
-	CCTargets bool
 	// DirtyRows lists R1 row indices whose attribute cells were edited
 	// since the previous solve; DirtyCols the union of edited column names.
 	DirtyRows []int

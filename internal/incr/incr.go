@@ -501,11 +501,9 @@ func (s *Session) rebase(d Delta) core.Changes {
 	if s.work.R1.Len() > baseLen {
 		s.work.R1.Truncate(baseLen)
 	}
-	targets := false
-	//lint:ordered distinct CC indices write distinct slots; targets only latches true
+	//lint:ordered distinct CC indices write distinct slots
 	for i := range s.prevTargets {
 		s.work.CCs[i].Target = s.baseTargets[i]
-		targets = true
 	}
 
 	// Apply d, recording base values into the overlay.
@@ -516,7 +514,6 @@ func (s *Session) rebase(d Delta) core.Changes {
 		for i, t := range d.CCTargets {
 			s.prevTargets[i] = t
 			s.work.CCs[i].Target = t
-			targets = true
 		}
 	}
 	for _, ed := range d.R1Edits {
@@ -546,7 +543,7 @@ func (s *Session) rebase(d Delta) core.Changes {
 	}
 	s.prevAppends = len(d.R1Appends) > 0
 
-	ch := core.Changes{CCTargets: targets}
+	var ch core.Changes
 	if len(dirtyRows) > 0 {
 		ch.DirtyRows = make([]int, 0, len(dirtyRows))
 		for r := range dirtyRows {

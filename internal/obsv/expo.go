@@ -1,18 +1,34 @@
 package obsv
 
 import (
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// family is one metric family ready to render: HELP/TYPE header plus its
-// sample lines in final form.
-type family struct {
-	name  string
-	help  string
-	typ   string // counter | gauge | histogram
-	lines []string
+// Family is one metric family: a name, help text and type, plus either
+// labeled integer samples (a counter or gauge) or a histogram's ascending
+// bucket bounds, the cumulative count at each bound, its count (the +Inf
+// bucket) and its sum. GET /metrics renders families as Prometheus text,
+// and GET /metrics?format=json serves them as JSON for /debug/cluster to
+// merge. Counters count below 2^63.
+type Family struct {
+	Name    string    `json:"name"`
+	Help    string    `json:"help"`
+	Type    string    `json:"type"` // counter | gauge | histogram
+	Samples []Sample  `json:"samples,omitempty"`
+	Bounds  []float64 `json:"bounds,omitempty"`
+	Buckets []int64   `json:"buckets,omitempty"`
+	Count   int64     `json:"count,omitempty"`
+	Sum     float64   `json:"sum,omitempty"`
+}
+
+// Sample is one counter or gauge sample.
+type Sample struct {
+	Labels map[string]string `json:"labels,omitempty"`
+	Value  int64             `json:"value"`
 }
 
 // Exposition accumulates metric families and renders them in Prometheus
@@ -26,51 +42,37 @@ type family struct {
 // scrape from live counters, which keeps the exposition layer free of
 // registration state and lock ordering concerns.
 type Exposition struct {
-	fams []family
+	fams []Family
 }
 
 // Counter adds a counter family with a single unlabeled sample.
 func (e *Exposition) Counter(name, help string, v uint64) {
-	e.fams = append(e.fams, family{name: name, help: help, typ: "counter",
-		lines: []string{name + " " + strconv.FormatUint(v, 10)}})
+	e.fams = append(e.fams, Family{Name: name, Help: help, Type: "counter", Samples: []Sample{{Value: int64(v)}}})
 }
 
 // Gauge adds a gauge family with a single unlabeled sample.
 func (e *Exposition) Gauge(name, help string, v int64) {
-	e.fams = append(e.fams, family{name: name, help: help, typ: "gauge",
-		lines: []string{name + " " + strconv.FormatInt(v, 10)}})
+	e.fams = append(e.fams, Family{Name: name, Help: help, Type: "gauge", Samples: []Sample{{Value: v}}})
 }
 
 // Info adds an info-style gauge: constant value 1 with the given label
 // pairs (the build_info idiom). Labels are emitted sorted by key.
 func (e *Exposition) Info(name, help string, labels map[string]string) {
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('{')
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(k)
-		b.WriteString(`="`)
-		b.WriteString(escapeLabel(labels[k]))
-		b.WriteByte('"')
-	}
-	b.WriteString("} 1")
-	e.fams = append(e.fams, family{name: name, help: help, typ: "gauge", lines: []string{b.String()}})
+	e.fams = append(e.fams, Family{Name: name, Help: help, Type: "gauge",
+		Samples: []Sample{{Labels: maps.Clone(labels), Value: 1}}})
 }
 
 // Histogram adds a histogram family from its live counters.
 func (e *Exposition) Histogram(h *Histogram) {
-	if h == nil {
-		return
+	if h != nil {
+		e.fams = append(e.fams, h.family())
 	}
-	e.fams = append(e.fams, h.expose())
+}
+
+// Families returns the families sorted by name.
+func (e *Exposition) Families() []Family {
+	slices.SortStableFunc(e.fams, func(a, b Family) int { return strings.Compare(a.Name, b.Name) })
+	return e.fams
 }
 
 // Render emits the full exposition: families sorted by name, each as
@@ -78,32 +80,61 @@ func (e *Exposition) Histogram(h *Histogram) {
 //	# HELP <name> <help>
 //	# TYPE <name> <type>
 //	<samples...>
+//
+// where a histogram's samples are its buckets, _sum and _count.
 func (e *Exposition) Render() string {
-	sort.SliceStable(e.fams, func(i, j int) bool { return e.fams[i].name < e.fams[j].name })
 	var b strings.Builder
-	for _, f := range e.fams {
-		b.WriteString("# HELP ")
-		b.WriteString(f.name)
-		b.WriteByte(' ')
-		b.WriteString(f.help)
-		b.WriteString("\n# TYPE ")
-		b.WriteString(f.name)
-		b.WriteByte(' ')
-		b.WriteString(f.typ)
-		b.WriteByte('\n')
-		for _, ln := range f.lines {
-			b.WriteString(ln)
-			b.WriteByte('\n')
+	for _, f := range e.Families() {
+		write(&b, "# HELP ", f.Name, " ", f.Help, "\n# TYPE ", f.Name, " ", f.Type, "\n")
+		if f.Type != "histogram" {
+			for _, s := range f.Samples {
+				writeSample(&b, f.Name, s)
+			}
+			continue
 		}
+		for i, ub := range f.Bounds {
+			le := strconv.FormatFloat(ub, 'f', -1, 64) // shortest decimal, no exponent
+			write(&b, f.Name, `_bucket{le="`, le, `"} `, strconv.FormatInt(f.Buckets[i], 10), "\n")
+		}
+		count := strconv.FormatInt(f.Count, 10)
+		write(&b, f.Name, `_bucket{le="+Inf"} `, count, "\n", f.Name, "_sum ", strconv.FormatFloat(f.Sum, 'g', -1, 64), "\n")
+		write(&b, f.Name, "_count ", count, "\n")
 	}
 	return b.String()
 }
 
-// escapeLabel escapes a label value per the exposition format.
-func escapeLabel(v string) string {
-	if !strings.ContainsAny(v, `\"`+"\n") {
-		return v
+// writeSample writes one sample line of family name: `name value`, or
+// `name{k="v",...} value` with the labels sorted by key.
+func writeSample(b *strings.Builder, name string, s Sample) {
+	b.WriteString(name)
+	sep := "{"
+	for _, k := range sortedKeys(s.Labels) {
+		write(b, sep, k, `="`, labelEscaper.Replace(s.Labels[k]), `"`)
+		sep = ","
 	}
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
+	if sep == "," {
+		b.WriteByte('}')
+	}
+	write(b, " ", strconv.FormatInt(s.Value, 10), "\n")
 }
+
+// write appends each of ss to b, sparing the concatenations a scrape
+// would otherwise allocate.
+func write(b *strings.Builder, ss ...string) {
+	for _, s := range ss {
+		b.WriteString(s)
+	}
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// labelEscaper escapes a label value per the exposition format.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)

@@ -1,7 +1,6 @@
 package obsv
 
 import (
-	"strconv"
 	"sync/atomic"
 	"time"
 )
@@ -39,9 +38,6 @@ func NewHistogram(name, help string) *Histogram {
 	bounds := DefaultBuckets()
 	return &Histogram{name: name, help: help, bounds: bounds, counts: make([]atomic.Uint64, len(bounds)+1)}
 }
-
-// Name returns the metric family name.
-func (h *Histogram) Name() string { return h.name }
 
 // Observe records one duration. Nil-safe so call sites need no guards.
 func (h *Histogram) Observe(d time.Duration) {
@@ -118,28 +114,18 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.bounds[len(h.bounds)-1]
 }
 
-// expose renders the family in Prometheus exposition format. A concurrent
-// Observe may land between bucket reads; the cumulative counts are made
-// monotone by construction (running sum), and count is taken as the
-// cumulative total of the buckets so `le="+Inf"` always equals `_count`.
-func (h *Histogram) expose() family {
-	f := family{name: h.name, help: h.help, typ: "histogram"}
+// family snapshots the histogram. A concurrent Observe may land between
+// bucket reads; the cumulative counts are made monotone by construction
+// (running sum), and the count is taken as the cumulative total of the
+// buckets so `le="+Inf"` always equals `_count`.
+func (h *Histogram) family() Family {
+	f := Family{Name: h.name, Help: h.help, Type: "histogram", Bounds: h.bounds, Buckets: make([]int64, len(h.bounds))}
 	var cum uint64
-	for i, ub := range h.bounds {
+	for i := range h.bounds {
 		cum += h.counts[i].Load()
-		f.lines = append(f.lines, h.name+`_bucket{le="`+formatBound(ub)+`"} `+strconv.FormatUint(cum, 10))
+		f.Buckets[i] = int64(cum)
 	}
-	cum += h.counts[len(h.bounds)].Load()
-	f.lines = append(f.lines,
-		h.name+`_bucket{le="+Inf"} `+strconv.FormatUint(cum, 10),
-		h.name+"_sum "+strconv.FormatFloat(float64(h.sumNano.Load())/1e9, 'g', -1, 64),
-		h.name+"_count "+strconv.FormatUint(cum, 10),
-	)
+	f.Count = int64(cum + h.counts[len(h.bounds)].Load())
+	f.Sum = float64(h.sumNano.Load()) / 1e9
 	return f
-}
-
-// formatBound renders a bucket bound the way Prometheus clients expect:
-// shortest decimal round-trip, no exponent for these magnitudes.
-func formatBound(v float64) string {
-	return strconv.FormatFloat(v, 'f', -1, 64)
 }

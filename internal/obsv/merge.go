@@ -1,43 +1,15 @@
 package obsv
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
-	"sort"
-	"strconv"
+	"maps"
+	"math"
+	"regexp"
+	"slices"
 	"strings"
 )
-
-// This file merges several nodes' Prometheus text expositions into one
-// cluster-wide exposition (GET /debug/cluster). The output obeys the same
-// format contract check_metrics.sh enforces on a single node's /metrics:
-// families strictly sorted by name, HELP before TYPE, one declaration per
-// family, and histogram buckets cumulative across *all* of a family's
-// lines. That last rule shapes the merge: histogram families are summed
-// into a single bucket set (per-node latency detail stays on each node's
-// own /metrics), while counters and gauges keep per-node visibility via a
-// `node` label next to the cluster aggregate.
-//
-// Merge rules by type:
-//
-//   - counter: one unlabeled aggregate line (sum over nodes), then one
-//     `{node="..."}` line per node.
-//   - gauge, unlabeled samples: one unlabeled aggregate line (max over
-//     nodes — gauges are levels, not flows), then per-node lines.
-//   - gauge, labeled samples (the build_info idiom): per-node lines only,
-//     each with `node` merged into its sorted label set; an unlabeled
-//     aggregate of a constant-1 info metric would be noise.
-//   - histogram: buckets summed per `le` bound, `_sum` summed, `_count`
-//     taken from the merged +Inf bucket (so +Inf == _count by
-//     construction, as the validator requires).
-//
-// Ordering is deterministic everywhere: families by name, nodes by name,
-// labels by key — two merges over the same scrapes are byte-identical.
-
-// NodeScrape is one node's /metrics text, tagged with its address.
-type NodeScrape struct {
-	Node string
-	Text string
-}
 
 // NodeUpFamily is the gauge family the merger synthesizes to report which
 // members answered the fan-out: 1 per merged node, 0 per unreachable one.
@@ -45,344 +17,192 @@ type NodeScrape struct {
 // is reported as a metric like everything else.
 const NodeUpFamily = "linksynthd_cluster_node_up"
 
-// pSample is one parsed sample line: metric name (family name plus any
-// _bucket/_sum/_count suffix), the raw label body (without braces, "" if
-// unlabeled), and the value text.
-type pSample struct {
-	name   string
-	labels string
-	value  string
-}
+var (
+	metricName = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
+	labelName  = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
+	// sampleSuffix marks the names the validator folds onto a histogram.
+	sampleSuffix = regexp.MustCompile(`_(bucket|sum|count)$`)
+)
 
-// pFamily is one parsed metric family.
-type pFamily struct {
-	name    string
-	help    string
-	typ     string
-	samples []pSample
-}
-
-// parseExposition parses Prometheus text exposition format as this
-// package's Exposition renders it (and as check_metrics.sh validates it):
-// `# HELP` then `# TYPE` then sample lines per family.
-func parseExposition(text string) ([]pFamily, error) {
-	var fams []pFamily
-	byName := map[string]int{}
-	for ln, line := range strings.Split(text, "\n") {
-		switch {
-		case line == "":
-			continue
-		case strings.HasPrefix(line, "# HELP "):
-			rest := line[len("# HELP "):]
-			name, help, _ := strings.Cut(rest, " ")
-			if name == "" {
-				return nil, fmt.Errorf("line %d: HELP without family name", ln+1)
-			}
-			if _, dup := byName[name]; dup {
-				return nil, fmt.Errorf("line %d: duplicate family %s", ln+1, name)
-			}
-			byName[name] = len(fams)
-			fams = append(fams, pFamily{name: name, help: help})
-		case strings.HasPrefix(line, "# TYPE "):
-			f := strings.Fields(line)
-			if len(f) != 4 {
-				return nil, fmt.Errorf("line %d: malformed TYPE line", ln+1)
-			}
-			i, ok := byName[f[2]]
-			if !ok {
-				return nil, fmt.Errorf("line %d: TYPE for undeclared family %s", ln+1, f[2])
-			}
-			fams[i].typ = f[3]
-		case strings.HasPrefix(line, "#"):
-			return nil, fmt.Errorf("line %d: unexpected comment %q", ln+1, line)
-		default:
-			name, labels, value, err := parseSample(line)
-			if err != nil {
-				return nil, fmt.Errorf("line %d: %w", ln+1, err)
-			}
-			i, ok := byName[familyOf(name, byName, fams)]
-			if !ok {
-				return nil, fmt.Errorf("line %d: sample for undeclared family %s", ln+1, name)
-			}
-			fams[i].samples = append(fams[i].samples, pSample{name: name, labels: labels, value: value})
+// DecodeFamilies decodes a member's GET /metrics?format=json reply and
+// checks that it merges into a valid exposition. It refuses a name or
+// label key outside the Prometheus character set, a family name that
+// ends in a histogram sample suffix or is NodeUpFamily, a newline in
+// help text, a `}` in a label value (the validator reads a sample's
+// labels up to the first `}`), a family sent twice, a negative counter,
+// and a histogram whose bounds do not ascend, whose buckets are negative
+// or not cumulative, whose count is below its last bucket, or whose sum
+// is negative.
+func DecodeFamilies(b []byte) ([]Family, error) {
+	var fams []Family
+	if err := json.Unmarshal(b, &fams); err != nil {
+		return nil, err
+	}
+	seen := make(map[string]bool, len(fams))
+	for _, f := range fams {
+		if err := f.check(); err != nil {
+			return nil, fmt.Errorf("family %q: %w", f.Name, err)
 		}
+		if seen[f.Name] {
+			return nil, fmt.Errorf("family %q sent twice", f.Name)
+		}
+		seen[f.Name] = true
 	}
 	return fams, nil
 }
 
-// familyOf folds a histogram sample's _bucket/_sum/_count suffix onto its
-// declaring family, mirroring the validator's resolution rule.
-func familyOf(name string, byName map[string]int, fams []pFamily) string {
-	for _, suf := range []string{"_bucket", "_sum", "_count"} {
-		base := strings.TrimSuffix(name, suf)
-		if base == name {
-			continue
-		}
-		if i, ok := byName[base]; ok && fams[i].typ == "histogram" {
-			return base
-		}
+func (f *Family) check() error {
+	if !metricName.MatchString(f.Name) || sampleSuffix.MatchString(f.Name) || f.Name == NodeUpFamily {
+		return errors.New("bad name")
 	}
-	return name
-}
-
-// parseSample splits `name[{labels}] value` into its parts.
-func parseSample(line string) (name, labels, value string, err error) {
-	rest := line
-	if i := strings.IndexByte(rest, '{'); i >= 0 {
-		name = rest[:i]
-		j := strings.LastIndexByte(rest, '}')
-		if j < i {
-			return "", "", "", fmt.Errorf("unbalanced braces in %q", line)
-		}
-		labels = rest[i+1 : j]
-		rest = strings.TrimSpace(rest[j+1:])
-	} else {
-		var ok bool
-		name, rest, ok = strings.Cut(rest, " ")
-		if !ok {
-			return "", "", "", fmt.Errorf("sample without value in %q", line)
-		}
+	if strings.Contains(f.Help, "\n") {
+		return errors.New("newline in help text")
 	}
-	value = strings.TrimSpace(rest)
-	if name == "" || value == "" || strings.ContainsAny(value, " ") {
-		return "", "", "", fmt.Errorf("unparseable sample %q", line)
-	}
-	return name, labels, value, nil
-}
-
-// withNodeLabel returns the label body with `node="<node>"` merged into
-// the key-sorted label set (replacing any existing node label).
-func withNodeLabel(labels, node string) string {
-	toks := splitLabels(labels)
-	kept := toks[:0]
-	for _, t := range toks {
-		if !strings.HasPrefix(t, `node="`) {
-			kept = append(kept, t)
+	switch f.Type {
+	case "counter", "gauge":
+		if f.Bounds != nil || f.Buckets != nil || f.Count != 0 || f.Sum != 0 {
+			return errors.New("histogram fields on a " + f.Type)
 		}
-	}
-	kept = append(kept, `node="`+escapeLabel(node)+`"`)
-	sort.Strings(kept)
-	return strings.Join(kept, ",")
-}
-
-// splitLabels tokenizes a label body on commas outside quoted values.
-func splitLabels(labels string) []string {
-	if labels == "" {
-		return nil
-	}
-	var toks []string
-	start, inQuote, escaped := 0, false, false
-	for i := 0; i < len(labels); i++ {
-		c := labels[i]
-		switch {
-		case escaped:
-			escaped = false
-		case c == '\\':
-			escaped = true
-		case c == '"':
-			inQuote = !inQuote
-		case c == ',' && !inQuote:
-			toks = append(toks, labels[start:i])
-			start = i + 1
-		}
-	}
-	toks = append(toks, labels[start:])
-	return toks
-}
-
-// nodeFam is one node's contribution to a merged family.
-type nodeFam struct {
-	node string
-	fam  pFamily
-}
-
-// mergedFam accumulates one family's declaration and per-node parts.
-type mergedFam struct {
-	help, typ string
-	parts     []nodeFam
-}
-
-// MergeExpositions merges the given scrapes into one exposition, appending
-// the NodeUpFamily gauge covering both the merged nodes (1) and the nodes
-// listed in down (0). A scrape that fails to parse fails the whole merge —
-// a half-merged cluster view is worse than an explicit error.
-func MergeExpositions(scrapes []NodeScrape, down []string) (string, error) {
-	merged := map[string]*mergedFam{}
-	var famNames []string
-
-	ordered := append([]NodeScrape(nil), scrapes...)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Node < ordered[j].Node })
-
-	for _, s := range ordered {
-		fams, err := parseExposition(s.Text)
-		if err != nil {
-			return "", fmt.Errorf("node %s: %w", s.Node, err)
-		}
-		for _, f := range fams {
-			m, ok := merged[f.name]
-			if !ok {
-				m = &mergedFam{help: f.help, typ: f.typ}
-				merged[f.name] = m
-				famNames = append(famNames, f.name)
+		for _, s := range f.Samples {
+			for k, v := range s.Labels {
+				if !labelName.MatchString(k) || strings.Contains(v, "}") {
+					return errors.New("bad label")
+				}
 			}
-			if m.typ != f.typ {
-				return "", fmt.Errorf("node %s: family %s is %s here but %s elsewhere", s.Node, f.name, f.typ, m.typ)
+			if f.Type == "counter" && s.Value < 0 {
+				return errors.New("negative counter")
 			}
-			m.parts = append(m.parts, nodeFam{node: s.Node, fam: f})
+		}
+	case "histogram":
+		if f.Samples != nil || len(f.Bounds) != len(f.Buckets) {
+			return errors.New("malformed histogram")
+		}
+		last := int64(0)
+		for i, c := range f.Buckets {
+			if c < last || i > 0 && !(f.Bounds[i] > f.Bounds[i-1]) {
+				return errors.New("bounds do not ascend, or buckets are negative or not cumulative")
+			}
+			last = c
+		}
+		if f.Count < last || !(f.Sum >= 0) {
+			return errors.New("count below the last bucket, or negative sum")
+		}
+	default:
+		return fmt.Errorf("unknown type %q", f.Type)
+	}
+	return nil
+}
+
+// Merge merges each node's families into one cluster-wide exposition
+// (GET /debug/cluster) in the format check_metrics.sh enforces on a
+// single node's /metrics. Peer families must have passed DecodeFamilies.
+//
+//   - counter: one unlabeled aggregate line (sum over nodes), then one
+//     `{node="..."}` line per node sample.
+//   - gauge: one unlabeled aggregate line (max over nodes — gauges are
+//     levels, not flows), then per-node lines; a gauge with labels of its
+//     own (the build_info idiom) gets no aggregate.
+//   - histogram: buckets, count and sum summed into one cumulative set,
+//     since the validator's cumulative rule spans all of a family's
+//     lines; per-node latency detail stays on each node's own /metrics.
+//
+// NodeUpFamily is appended, covering the merged nodes (1) and the nodes
+// listed in down (0). A family whose type or histogram bounds differ
+// between nodes (every node of one build uses DefaultBuckets) fails the
+// whole merge: a half-merged cluster view is worse than an explicit
+// error. Families, nodes and labels are all sorted, so two merges over
+// the same families are byte-identical.
+func Merge(nodes map[string][]Family, down []string) (string, error) {
+	merged := map[string]*Family{}
+	names := sortedKeys(nodes)
+	for _, node := range names {
+		for _, f := range nodes[node] {
+			m := merged[f.Name]
+			if m == nil {
+				m = &Family{Name: f.Name, Help: f.Help, Type: f.Type, Bounds: f.Bounds, Buckets: make([]int64, len(f.Bounds))}
+				merged[f.Name] = m
+			}
+			switch {
+			case f.Type != m.Type:
+				return "", fmt.Errorf("node %s: family %s is %s here but %s elsewhere", node, f.Name, f.Type, m.Type)
+			case f.Type != "histogram":
+				for _, s := range f.Samples {
+					m.Samples = append(m.Samples, withNode(s, node))
+				}
+			case !slices.Equal(f.Bounds, m.Bounds):
+				return "", fmt.Errorf("node %s: histogram %s has other bucket bounds", node, f.Name)
+			default:
+				for i, c := range f.Buckets {
+					m.Buckets[i] = addSat(m.Buckets[i], c)
+				}
+				m.Count = addSat(m.Count, f.Count)
+				m.Sum += f.Sum
+			}
 		}
 	}
 
+	up := &Family{Name: NodeUpFamily, Type: "gauge",
+		Help: "1 for cluster members whose /metrics merged into this exposition, 0 for members that did not answer."}
+	for _, n := range names {
+		up.Samples = append(up.Samples, withNode(Sample{Value: 1}, n))
+	}
+	for _, n := range down {
+		up.Samples = append(up.Samples, withNode(Sample{Value: 0}, n))
+	}
 	var e Exposition
-	for _, name := range famNames {
-		m := merged[name]
-		f := family{name: name, help: m.help, typ: m.typ}
-		switch m.typ {
-		case "histogram":
-			lines, err := mergeHistogram(name, m.parts)
-			if err != nil {
-				return "", err
-			}
-			f.lines = lines
-		case "counter", "gauge":
-			f.lines = mergeFlat(name, m.typ, m.parts)
-		default:
-			return "", fmt.Errorf("family %s: unsupported type %q", name, m.typ)
+	for _, m := range merged {
+		if m.Type != "histogram" {
+			aggregate(m)
 		}
-		e.fams = append(e.fams, f)
+		e.fams = append(e.fams, *m)
 	}
-
-	up := family{name: NodeUpFamily, typ: "gauge",
-		help: "1 for cluster members whose /metrics merged into this exposition, 0 for members that did not answer."}
-	for _, s := range ordered {
-		up.lines = append(up.lines, NodeUpFamily+`{node="`+escapeLabel(s.Node)+`"} 1`)
-	}
-	downSorted := append([]string(nil), down...)
-	sort.Strings(downSorted)
-	for _, n := range downSorted {
-		up.lines = append(up.lines, NodeUpFamily+`{node="`+escapeLabel(n)+`"} 0`)
-	}
-	sort.Strings(up.lines)
-	e.fams = append(e.fams, up)
-
+	sortSamples(up)
+	e.fams = append(e.fams, *up)
 	return e.Render(), nil
 }
 
-// mergeFlat merges a counter or gauge family: an unlabeled aggregate line
-// (sum for counters, max for gauges) when every sample is unlabeled, then
-// per-node lines carrying each original sample with a node label.
-func mergeFlat(name, typ string, parts []nodeFam) []string {
-	allUnlabeled, first := true, true
-	var agg float64
-	var nodeLines []string
-	for _, p := range parts {
-		for _, s := range p.fam.samples {
-			if s.labels != "" {
-				allUnlabeled = false
-			}
-			v, err := strconv.ParseFloat(s.value, 64)
-			if err == nil {
-				switch {
-				case typ == "counter":
-					agg += v
-				case first || v > agg:
-					agg = v
-				}
-				first = false
-			}
-			nodeLines = append(nodeLines, s.name+"{"+withNodeLabel(s.labels, p.node)+"} "+s.value)
+// aggregate sorts a merged counter or gauge family's per-node samples and
+// puts the cluster aggregate first.
+func aggregate(m *Family) {
+	sortSamples(m)
+	labeled, agg := false, int64(0)
+	for i, s := range m.Samples {
+		labeled = labeled || len(s.Labels) > 1
+		switch {
+		case m.Type == "counter":
+			agg = addSat(agg, s.Value)
+		case i == 0 || s.Value > agg:
+			agg = s.Value
 		}
 	}
-	sort.Strings(nodeLines)
-	if !allUnlabeled && typ == "gauge" {
-		return nodeLines
+	if m.Type == "counter" || !labeled {
+		m.Samples = append([]Sample{{Value: agg}}, m.Samples...)
 	}
-	return append([]string{name + " " + strconv.FormatFloat(agg, 'g', -1, 64)}, nodeLines...)
 }
 
-// mergeHistogram sums the nodes' cumulative buckets into one bucket set
-// over the union of their bounds. A node without a given finite bound
-// contributes its cumulative count at its largest smaller bound, which
-// keeps the merged sequence monotone. _count is the merged +Inf value.
-func mergeHistogram(name string, parts []nodeFam) ([]string, error) {
-	type nodeHist struct {
-		bounds []float64 // ascending finite bounds
-		cum    []float64 // cumulative count at each bound
-		inf    float64
-		sum    float64
-	}
-	var hists []nodeHist
-	boundSet := map[float64]string{} // value -> original text
-	for _, p := range parts {
-		var h nodeHist
-		for _, s := range p.fam.samples {
-			switch s.name {
-			case name + "_bucket":
-				le := leOf(s.labels)
-				v, err := strconv.ParseFloat(s.value, 64)
-				if err != nil {
-					return nil, fmt.Errorf("family %s: bad bucket value %q", name, s.value)
-				}
-				if le == "+Inf" {
-					h.inf = v
-					continue
-				}
-				b, err := strconv.ParseFloat(le, 64)
-				if err != nil {
-					return nil, fmt.Errorf("family %s: bad le %q", name, le)
-				}
-				boundSet[b] = le
-				h.bounds = append(h.bounds, b)
-				h.cum = append(h.cum, v)
-			case name + "_sum":
-				v, err := strconv.ParseFloat(s.value, 64)
-				if err != nil {
-					return nil, fmt.Errorf("family %s: bad sum %q", name, s.value)
-				}
-				h.sum = v
-			}
-		}
-		hists = append(hists, h)
-	}
-	bounds := make([]float64, 0, len(boundSet))
-	for b := range boundSet {
-		bounds = append(bounds, b)
-	}
-	sort.Float64s(bounds)
-
-	var lines []string
-	for _, b := range bounds {
-		var total float64
-		for _, h := range hists {
-			// Cumulative count at b: the node's value at its largest
-			// bound <= b (0 below its first bound).
-			i := sort.SearchFloat64s(h.bounds, b)
-			if i < len(h.bounds) && h.bounds[i] == b {
-				total += h.cum[i]
-			} else if i > 0 {
-				total += h.cum[i-1]
-			}
-		}
-		lines = append(lines, name+`_bucket{le="`+boundSet[b]+`"} `+strconv.FormatFloat(total, 'g', -1, 64))
-	}
-	var inf, sum float64
-	for _, h := range hists {
-		inf += h.inf
-		sum += h.sum
-	}
-	lines = append(lines,
-		name+`_bucket{le="+Inf"} `+strconv.FormatFloat(inf, 'g', -1, 64),
-		name+"_sum "+strconv.FormatFloat(sum, 'g', -1, 64),
-		name+"_count "+strconv.FormatFloat(inf, 'g', -1, 64),
-	)
-	return lines, nil
+// withNode returns s with its node label set to node.
+func withNode(s Sample, node string) Sample {
+	labels := map[string]string{}
+	maps.Copy(labels, s.Labels)
+	labels["node"] = node
+	return Sample{Labels: labels, Value: s.Value}
 }
 
-// leOf extracts the le label's value from a bucket sample's label body.
-func leOf(labels string) string {
-	for _, t := range splitLabels(labels) {
-		if v, ok := strings.CutPrefix(t, `le="`); ok {
-			return strings.TrimSuffix(v, `"`)
-		}
+// sortSamples orders a family's samples by their rendered lines.
+func sortSamples(f *Family) {
+	line := func(s Sample) string {
+		var b strings.Builder
+		writeSample(&b, f.Name, s)
+		return b.String()
 	}
-	return ""
+	slices.SortFunc(f.Samples, func(a, b Sample) int { return strings.Compare(line(a), line(b)) })
+}
+
+// addSat adds two non-negative counts, saturating at math.MaxInt64: a peer
+// may claim any count, and a wrapped sum would render negative.
+func addSat(a, b int64) int64 {
+	if a > math.MaxInt64-b {
+		return math.MaxInt64
+	}
+	return a + b
 }

@@ -482,3 +482,45 @@ func TestClusterMetricsRefusesOversizedPeerScrape(t *testing.T) {
 		t.Fatalf("oversized reply marked the peer down: up = %v", up)
 	}
 }
+
+// A peer whose /metrics?format=json reply does not decode is listed as
+// down, and the view is still served. The text exposition is what a peer
+// of an older build answers, so mid-upgrade it shows as down too.
+func TestClusterMetricsListsUndecodablePeerAsDown(t *testing.T) {
+	nodes := newTestCluster(t, 2)
+	text := func() string {
+		resp, err := http.Get(nodes[1].url + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(readBody(t, resp))
+	}()
+	for name, reply := range map[string]string{
+		"garbage":         "\x00not json{",
+		"text exposition": text,
+		"bad family":      `[{"name":"linksynthd_cluster_node_up","type":"gauge","samples":[{"value":1}]}]`,
+	} {
+		nodes[1].swap.set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Write([]byte(reply))
+		}))
+		resp, err := http.Get(nodes[0].url + "/debug/cluster")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := string(readBody(t, resp))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", name, resp.StatusCode, body)
+		}
+		for _, want := range []string{
+			`linksynthd_cluster_node_up{node="` + nodes[0].url + `"} 1`,
+			`linksynthd_cluster_node_up{node="` + nodes[1].url + `"} 0`,
+		} {
+			if !strings.Contains(body, want+"\n") {
+				t.Fatalf("%s: merged scrape lacks %q:\n%s", name, want, body)
+			}
+		}
+		if n := strings.Count(body, `node="`+nodes[1].url+`"`); n != 1 {
+			t.Fatalf("%s: the down peer is on %d lines, want only its node_up line:\n%s", name, n, body)
+		}
+	}
+}

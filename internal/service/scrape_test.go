@@ -4,6 +4,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"repro/internal/obsv"
 )
 
 // TestMetricsGoldenScrape pins the name, help text and type of every family
@@ -193,3 +195,26 @@ const goldenScrape = `
 # HELP linksynthd_workers solver pool size
 # TYPE linksynthd_workers gauge
 `
+
+// TestMetricsJSONDecodes: a fully configured node's /metrics?format=json
+// passes the check /debug/cluster applies to a peer's reply, and carries
+// the families of the text scrape in the same order.
+func TestMetricsJSONDecodes(t *testing.T) {
+	nd := newElasticShell(t)
+	startElastic(t, nd, []string{nd.url}, 1, true)
+	resp, err := http.Get(nd.url + "/metrics?format=json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fams, err := obsv.DecodeFamilies(readBody(t, resp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range fams {
+		got = append(got, "# HELP "+f.Name+" "+f.Help, "# TYPE "+f.Name+" "+f.Type)
+	}
+	if want := strings.TrimSpace(goldenScrape); strings.Join(got, "\n") != want {
+		t.Fatalf("JSON families:\n%s\nwant:\n%s", strings.Join(got, "\n"), want)
+	}
+}

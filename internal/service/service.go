@@ -16,9 +16,10 @@
 //	POST   /v1/store/{fp}     ingest a pushed store file: a cache entry's result
 //	                          file, a snapshot or a session record
 //	GET    /healthz           liveness, and in a cluster the member view
-//	GET    /metrics           Prometheus exposition
+//	GET    /metrics           Prometheus exposition (?format=json: the same
+//	                          families as JSON)
 //	GET    /debug/flight      recent traces (?trace=<id> filters, ?format=text)
-//	GET    /debug/cluster     every live member's /metrics, merged
+//	GET    /debug/cluster     every live member's metric families, merged
 //	GET    /debug/trace/{id}  one trace stitched across every member
 //
 // Every solve is content-addressed through core.Fingerprint: identical
@@ -321,7 +322,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 	case "/metrics":
 		if wantMethod(w, r, http.MethodGet) {
-			s.handleMetrics(w)
+			s.handleMetrics(w, r)
 		}
 	case "/debug/flight":
 		if wantMethod(w, r, http.MethodGet) {
@@ -911,16 +912,21 @@ func (s *Server) handleHealthz(w http.ResponseWriter) {
 // into an obsv.Exposition and emitted sorted by name with HELP/TYPE
 // headers, so two scrapes observing the same values are byte-identical —
 // the ordering is part of the endpoint's contract (tests and the CI
-// exposition check rely on it).
-func (s *Server) handleMetrics(w http.ResponseWriter) {
+// exposition check rely on it). ?format=json serves the same families as
+// JSON, which is what the /debug/cluster fan-out asks peers for.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	e := s.metricsExposition()
+	if r.URL.Query().Get("format") == "json" {
+		writeJSON(w, http.StatusOK, e.Families())
+		return
+	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.Write([]byte(s.metricsExposition()))
+	w.Write([]byte(e.Render()))
 }
 
-// metricsExposition renders this node's scrape as a string; handleMetrics
-// serves it, and the /debug/cluster fan-out merges it with the peers'
-// without a loopback HTTP request.
-func (s *Server) metricsExposition() string {
+// metricsExposition gathers this node's families; handleMetrics serves
+// them, and /debug/cluster merges them with the peers' in process.
+func (s *Server) metricsExposition() *obsv.Exposition {
 	cs := s.cache.Stats()
 	s.mu.Lock()
 	nJobs := len(s.jobs)
@@ -1027,7 +1033,7 @@ func (s *Server) metricsExposition() string {
 		counter("store_handoff_fetches_total", s.handoffFetches.Load(), "warm sessions pulled from a peer")
 		counter("store_handoff_served_total", s.handoffServed.Load(), "store files served to peers")
 	}
-	return e.Render()
+	return &e
 }
 
 func wantMethod(w http.ResponseWriter, r *http.Request, method string) bool {

@@ -14,16 +14,17 @@ import (
 // This file is the cluster-wide telemetry plane: two fan-out endpoints
 // that let an operator see the whole cluster from any one node.
 //
-//	GET /debug/cluster     every member's /metrics merged into one
+//	GET /debug/cluster     every member's metric families, asked for as
+//	                       JSON (/metrics?format=json), merged into one
 //	                       exposition (aggregates + per-node labels)
 //	GET /debug/trace/{id}  that trace's spans collected from every
 //	                       member's flight recorder and stitched into one
 //	                       cross-node timeline
 //
-// Both ask each member for its *local* view (/metrics, /debug/flight) —
-// leaf endpoints that never fan out themselves — so the sweep cannot
-// recurse. Members that fail to answer degrade the view instead of
-// failing it: /debug/cluster reports them at 0 in the
+// Both ask each member for its *local* view through fanOut — leaf
+// endpoints that never fan out themselves — so the sweep cannot recurse.
+// Members that do not answer, or whose reply does not decode, degrade the
+// view instead of failing it: /debug/cluster reports them at 0 in the
 // linksynthd_cluster_node_up gauge, /debug/trace lists them under "down".
 // Single-node servers serve both endpoints from local state alone.
 
@@ -31,28 +32,45 @@ import (
 // pin a debug request for the caller's full patience.
 const telemetryTimeout = 10 * time.Second
 
-// handleClusterMetrics serves GET /debug/cluster: the merged exposition
-// over every live member's scrape, in the same validated format as a
-// single node's /metrics (check_metrics.sh passes on both).
-func (s *Server) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
-	scrapes := []obsv.NodeScrape{{Node: s.obs.Node, Text: s.metricsExposition()}}
-	var down []string
-	if s.clu != nil {
-		ctx, cancel := context.WithTimeout(r.Context(), telemetryTimeout)
-		defer cancel()
-		for _, node := range s.clu.Nodes() {
-			if node == s.clu.Self() {
-				continue // already scraped in-process
-			}
-			b, err := s.clu.FetchDebug(ctx, node, "/metrics")
-			if err != nil {
-				down = append(down, node)
-				continue
-			}
-			scrapes = append(scrapes, obsv.NodeScrape{Node: node, Text: string(b)})
+// fanOut GETs path from every other live member within one
+// telemetryTimeout and hands each reply to take. It returns the members
+// that did not answer or whose reply take refused, sorted.
+func (s *Server) fanOut(ctx context.Context, path string, take func(node string, body []byte) error) (down []string) {
+	if s.clu == nil {
+		return nil
+	}
+	ctx, cancel := context.WithTimeout(ctx, telemetryTimeout)
+	defer cancel()
+	for _, node := range s.clu.Nodes() {
+		if node == s.clu.Self() {
+			continue // answered in-process
+		}
+		b, err := s.clu.FetchDebug(ctx, node, path)
+		if err == nil {
+			err = take(node, b)
+		}
+		if err != nil {
+			down = append(down, node)
 		}
 	}
-	merged, err := obsv.MergeExpositions(scrapes, down)
+	return down
+}
+
+// handleClusterMetrics serves GET /debug/cluster: this node's families,
+// taken in process, merged with every live peer's, in the same validated
+// format as a single node's /metrics (check_metrics.sh passes on both).
+// A peer on an older build answers ?format=json with text, which does not
+// decode, so during a rolling upgrade it shows as down.
+func (s *Server) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
+	nodes := map[string][]obsv.Family{s.obs.Node: s.metricsExposition().Families()}
+	down := s.fanOut(r.Context(), "/metrics?format=json", func(node string, b []byte) error {
+		fams, err := obsv.DecodeFamilies(b)
+		if err == nil {
+			nodes[node] = fams
+		}
+		return err
+	})
+	merged, err := obsv.Merge(nodes, down)
 	if err != nil {
 		writeError(w, http.StatusBadGateway, "merge cluster metrics: %v", err)
 		return
@@ -95,27 +113,14 @@ func (s *Server) handleClusterTrace(w http.ResponseWriter, r *http.Request, id s
 			traces = append(traces, t)
 		}
 	}
-	var down []string
-	if s.clu != nil {
-		ctx, cancel := context.WithTimeout(r.Context(), telemetryTimeout)
-		defer cancel()
-		for _, node := range s.clu.Nodes() {
-			if node == s.clu.Self() {
-				continue
-			}
-			b, err := s.clu.FetchDebug(ctx, node, "/debug/flight?trace="+url.QueryEscape(id))
-			if err != nil {
-				down = append(down, node)
-				continue
-			}
-			var fj flightJSON
-			if err := json.Unmarshal(b, &fj); err != nil {
-				down = append(down, node)
-				continue
-			}
-			traces = append(traces, fj.Traces...)
+	down := s.fanOut(r.Context(), "/debug/flight?trace="+url.QueryEscape(id), func(_ string, b []byte) error {
+		var fj flightJSON
+		if err := json.Unmarshal(b, &fj); err != nil {
+			return err
 		}
-	}
+		traces = append(traces, fj.Traces...)
+		return nil
+	})
 	if len(traces) == 0 {
 		writeError(w, http.StatusNotFound, "trace %s not found on any reachable member", id)
 		return
@@ -150,7 +155,6 @@ func (s *Server) handleClusterTrace(w http.ResponseWriter, r *http.Request, id s
 		nodes = append(nodes, n)
 	}
 	sort.Strings(nodes)
-	sort.Strings(down)
 	writeJSON(w, http.StatusOK, clusterTraceJSON{
 		TraceID: id, Nodes: nodes, Down: down, Traces: traces, Timeline: timeline,
 	})
